@@ -19,9 +19,8 @@ use s2g_broker::{
     log_store, Broker, BrokerConfig, BrokerRecoveryInfo, BrokerStats, CollectingSink,
     ConsumerClient, ConsumerConfig, ConsumerProcess, ConsumerStats, ControllerConfig,
     CoordinationMode, DataSink, DataSource, DurableLogBackend, FileLinesSource, InMemoryLogBackend,
-    KraftController, LogBackend, LogStoreHandle, PoissonSource, ProduceOutcome, ProducerClient,
-    ProducerConfig, ProducerProcess, ProducerStats, RandomTopicSource, RateSource, TopicSpec,
-    ZkController,
+    KraftController, LogStoreHandle, PoissonSource, ProduceOutcome, ProducerClient, ProducerConfig,
+    ProducerProcess, ProducerStats, RandomTopicSource, RateSource, TopicSpec, ZkController,
 };
 use s2g_net::{
     FaultAction, FaultInjector, FaultPlan, LinkSpec, NetHandle, NetTransport, Network,
@@ -29,8 +28,8 @@ use s2g_net::{
 };
 use s2g_proto::{AckMode, BrokerId, Compression, ProducerId, TopicPartition};
 use s2g_sim::{
-    CpuHandle, HostCpu, LedgerHandle, MemLedger, MemSlot, ProcessId, Sim, SimDuration, SimStats,
-    SimTime,
+    CpuHandle, HostCpu, LedgerHandle, MemLedger, MemSlot, Process, ProcessId, Sim, SimDuration,
+    SimStats, SimTime,
 };
 use s2g_spe::{
     snapshot_store, BatchMetric, CheckpointCfg, CheckpointStats, DurableBackend, Event,
@@ -1112,45 +1111,53 @@ impl Scenario {
         seen
     }
 
-    /// Flattens the scenario into the plain-data facts the analyzer
-    /// reads: effective configs (scenario-level overrides applied, exactly
-    /// as `run` would), the would-be shuffle topics, the legal fault
-    /// targets, and the fault plan normalized per target.
-    fn build_facts(&self) -> ScenarioFacts {
-        let cap = (self.brokers.len() as u32).max(1);
-        let eff_rf = |declared: u32| match self.partition_replication {
-            Some(rf) => rf.min(cap),
-            None => declared,
-        };
-        let mut topics: Vec<TopicFacts> = self
-            .topics
-            .iter()
-            .map(|t| TopicFacts {
-                name: t.name.clone(),
-                partitions: t.partitions,
-                replication: eff_rf(t.replication),
-                declared_replication: t.replication,
-                shuffle: false,
-            })
-            .collect();
+    /// Applies every scenario-level override exactly once: the shuffle
+    /// topics parallel jobs auto-declare, the replication override (capped
+    /// at the broker count), broker cleaning, producer acks and batching,
+    /// consumer read-committed isolation and stable group member ids, and
+    /// the SPE checkpoint/transaction/acks/batching settings.
+    /// [`Scenario::analyze`] checks the result and [`Scenario::run`] spawns
+    /// from it, so the two cannot drift apart.
+    fn lower(&self) -> Lowered {
+        let mut topics = self.topics.clone();
         for (_, job) in &self.spe_jobs {
             if job.is_parallel() {
+                // One topic per stage boundary, with exactly `key_groups`
+                // partitions so the keyed partitioner *is* the shuffle
+                // router.
                 let (n_stages, _) = Self::job_stage_layout(job);
                 for s in 1..n_stages {
-                    topics.push(TopicFacts {
-                        name: shuffle_topic(&job.name, s),
-                        partitions: job.key_groups,
-                        replication: eff_rf(1),
-                        declared_replication: 1,
-                        shuffle: true,
-                    });
+                    topics.push(
+                        TopicSpec::new(shuffle_topic(&job.name, s)).partitions(job.key_groups),
+                    );
                 }
             }
         }
+        if let Some(rf) = self.partition_replication {
+            // Shuffle topics replicate too; the cap lets a small cluster
+            // still run.
+            let cap = (self.brokers.len() as u32).max(1);
+            for t in &mut topics {
+                t.replication = rf.min(cap);
+            }
+        }
+        let topic_facts = topics
+            .iter()
+            .enumerate()
+            .map(|(k, t)| TopicFacts {
+                name: t.name.clone(),
+                partitions: t.partitions,
+                replication: t.replication,
+                declared_replication: self.topics.get(k).map_or(1, |d| d.replication),
+                shuffle: k >= self.topics.len(),
+            })
+            .collect();
         let brokers = self
             .brokers
             .iter()
             .map(|(host, cfg)| {
+                // A per-broker config that already enables a cleaning
+                // policy keeps it.
                 let mut cfg = cfg.clone();
                 cfg.log_compaction |= self.log_compaction;
                 cfg.log_retention_age = cfg.log_retention_age.or(self.log_retention_age);
@@ -1163,7 +1170,7 @@ impl Scenario {
             .collect();
         let mut controller = self.controller_cfg.clone();
         controller.mode = self.mode;
-        let producers = self
+        let producers: Vec<ProducerFacts> = self
             .producers
             .iter()
             .enumerate()
@@ -1183,23 +1190,31 @@ impl Scenario {
                 }
             })
             .collect();
-        let consumers = self
+        let consumers: Vec<ConsumerFacts> = self
             .consumers
             .iter()
             .enumerate()
             .map(|(i, (_, cfg, topics, _))| {
+                let name = format!("consumer-{i}");
                 let mut cfg = cfg.clone();
                 if self.transactional_sinks {
+                    // Observing a transactional sink's exactly-once output
+                    // requires read-committed isolation on the reader.
                     cfg.read_committed = true;
                 }
+                if cfg.group_membership && cfg.group_member_id.is_empty() {
+                    // A stable member id makes sticky assignment stick
+                    // across this stub's crash/restart.
+                    cfg.group_member_id = name.clone();
+                }
                 ConsumerFacts {
-                    name: format!("consumer-{i}"),
+                    name,
                     topics: topics.clone(),
                     cfg,
                 }
             })
             .collect();
-        let jobs = self
+        let jobs: Vec<JobFacts> = self
             .spe_jobs
             .iter()
             .map(|(_, job)| {
@@ -1210,6 +1225,9 @@ impl Scenario {
                     }
                 }
                 if self.transactional_sinks {
+                    // Stage topic-sink (and shuffle) output under per-epoch
+                    // transaction markers, and read upstream (possibly also
+                    // transactional) topics with read-committed isolation.
                     cfg.transactional_sink = true;
                     cfg.consumer.read_committed = true;
                 }
@@ -1284,30 +1302,7 @@ impl Scenario {
                 }
             })
             .collect();
-        let mut valid_process_targets: Vec<String> = Vec::new();
-        for (_, job) in &self.spe_jobs {
-            valid_process_targets.push(job.name.clone());
-            if job.is_parallel() {
-                let (n_stages, max_per) = Self::job_stage_layout(job);
-                for (s, max) in max_per.iter().enumerate().take(n_stages) {
-                    for i in 0..*max {
-                        valid_process_targets.push(instance_name(&job.name, s, i));
-                    }
-                }
-                // The `job/instance` shorthand targets the last stage.
-                if let Some(last) = max_per.last() {
-                    for i in 0..*last {
-                        valid_process_targets.push(format!("{}/{i}", job.name));
-                    }
-                }
-            }
-        }
-        for i in 0..self.producers.len() {
-            valid_process_targets.push(format!("producer-{i}"));
-        }
-        for i in 0..self.consumers.len() {
-            valid_process_targets.push(format!("consumer-{i}"));
-        }
+        let targets = process_targets(&jobs, producers.len(), consumers.len());
         let topology_hosts = self
             .explicit_topology
             .as_ref()
@@ -1317,12 +1312,12 @@ impl Scenario {
             .into_iter()
             .chain(self.controller_hosts())
             .collect();
-        ScenarioFacts {
+        let facts = ScenarioFacts {
             name: self.name.clone(),
             duration: self.duration,
             link_latency: self.default_link.latency,
             controller,
-            topics,
+            topics: topic_facts,
             partition_replication: self.partition_replication,
             brokers,
             store_hosts: self.stores.iter().map(|(h, _)| h.clone()).collect(),
@@ -1331,7 +1326,7 @@ impl Scenario {
             consumers,
             jobs,
             faults,
-            valid_process_targets,
+            valid_process_targets: targets.keys().cloned().collect(),
             topology_hosts,
             required_hosts,
             checkpoint_interval: self.checkpointing.as_ref().map(|s| s.cfg.interval),
@@ -1348,6 +1343,11 @@ impl Scenario {
             },
             log_retention_age: self.log_retention_age,
             transactional_sinks: self.transactional_sinks,
+        };
+        Lowered {
+            facts,
+            topics,
+            targets,
         }
     }
 
@@ -1358,15 +1358,7 @@ impl Scenario {
     /// diagnostics are present, unless [`Scenario::allow_deny_diagnostics`]
     /// was called.
     pub fn analyze(&self) -> AnalysisReport {
-        analyze_facts(&self.build_facts())
-    }
-
-    fn validate(&self) -> Result<(), ScenarioError> {
-        let report = self.analyze();
-        if report.has_deny() && !self.allow_deny {
-            return Err(ScenarioError::from_report(&report));
-        }
-        Ok(())
+        analyze_facts(&self.lower().facts)
     }
 
     fn build_topology(&self) -> Topology {
@@ -1394,41 +1386,24 @@ impl Scenario {
         topo
     }
 
-    /// Validates, builds, runs, and reports.
+    /// Lowers, analyzes, builds, runs, and reports.
     ///
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] when the description is inconsistent.
-    pub fn run(mut self) -> Result<RunResult, ScenarioError> {
-        self.validate()?;
+    pub fn run(self) -> Result<RunResult, ScenarioError> {
+        let Lowered {
+            facts,
+            topics,
+            targets,
+        } = self.lower();
+        let analysis = analyze_facts(&facts);
+        if analysis.has_deny() && !self.allow_deny {
+            return Err(ScenarioError::from_report(&analysis));
+        }
         // Baseline for the zero-copy regression gate: any delta over the
         // run means some path deep-copied a shared RecordBatch.
         let batch_copies_before = s2g_proto::shared_batch_copies();
-        // Auto-declare the intermediate shuffle topics of parallel jobs
-        // (before controllers are built — they own topic creation). One
-        // topic per stage boundary, with exactly `key_groups` partitions so
-        // the keyed partitioner *is* the shuffle router.
-        let mut shuffle_specs: Vec<TopicSpec> = Vec::new();
-        for (_, job) in &self.spe_jobs {
-            if job.is_parallel() {
-                let (n_stages, _) = Self::job_stage_layout(job);
-                for s in 1..n_stages {
-                    shuffle_specs.push(
-                        TopicSpec::new(shuffle_topic(&job.name, s)).partitions(job.key_groups),
-                    );
-                }
-            }
-        }
-        self.topics.extend(shuffle_specs);
-        if let Some(rf) = self.partition_replication {
-            // Applied after shuffle-topic finalization so auto-declared
-            // topics replicate too; capped at the broker count so a small
-            // cluster still runs.
-            let cap = (self.brokers.len() as u32).max(1);
-            for t in &mut self.topics {
-                t.replication = rf.min(cap);
-            }
-        }
         let duration = self.duration;
         let topo = self.build_topology();
         let n_switches = topo
@@ -1449,77 +1424,92 @@ impl Scenario {
 
         // CPU per host; ledger for memory.
         let mut cpus: BTreeMap<String, CpuHandle> = BTreeMap::new();
-        {
-            let n = net.borrow();
-            for (_, node) in n.topology().nodes() {
-                if node.kind == s2g_net::NodeKind::Host {
-                    let speed = self.host_cpu_pct.get(&node.name).copied().unwrap_or(100.0) / 100.0;
-                    cpus.insert(
-                        node.name.clone(),
-                        HostCpu::shared(node.name.clone(), self.server.cores, speed),
-                    );
-                }
+        for (_, node) in net.borrow().topology().nodes() {
+            if node.kind == s2g_net::NodeKind::Host {
+                let speed = self.host_cpu_pct.get(&node.name).copied().unwrap_or(100.0) / 100.0;
+                cpus.insert(
+                    node.name.clone(),
+                    HostCpu::shared(node.name.clone(), self.server.cores, speed),
+                );
             }
         }
         let baseline = self.mem_model.os_base + self.mem_model.per_switch * n_switches as u64;
         let ledger: LedgerHandle = MemLedger::new(baseline).into_handle();
 
-        // Deterministic pid layout.
+        // Deterministic pid layout: controllers, brokers, store replicas
+        // group by group, stage instances, producers, consumers.
         let ctrl_hosts = self.controller_hosts();
         let n_ctrl = ctrl_hosts.len() as u32;
-        let nb = self.brokers.len() as u32;
+        let nb = facts.brokers.len() as u32;
         let controller_pids: Vec<ProcessId> = (0..n_ctrl).map(ProcessId).collect();
-        let broker_pids: Vec<ProcessId> = (n_ctrl..n_ctrl + nb).map(ProcessId).collect();
-        let brokers_btree: BTreeMap<BrokerId, ProcessId> = (0..nb)
-            .map(|i| (BrokerId(i), broker_pids[i as usize]))
+        let broker_pids: BTreeMap<BrokerId, ProcessId> = (0..nb)
+            .map(|i| (BrokerId(i), ProcessId(n_ctrl + i)))
             .collect();
-        let brokers_hash: BTreeMap<BrokerId, ProcessId> =
-            brokers_btree.iter().map(|(k, v)| (*k, *v)).collect();
-        let mut placements: Vec<(ProcessId, String)> = Vec::new();
+        let bootstrap_for = |host: &str| {
+            let i = facts.brokers.iter().position(|b| b.host == host);
+            ProcessId(n_ctrl + i.unwrap_or(0) as u32)
+        };
+
+        // Stores. With `with_replicated_store(n)` each declaration becomes
+        // an n-member group: replica 0 on the declared host, the rest on
+        // auto-added `<host>-r<i>` hosts. SPE store sinks address replica
+        // 0; durability clients get the whole group and rotate through it
+        // on timeout.
+        let mut stores: Vec<StoreReplica> = Vec::new();
+        let mut store_groups: BTreeMap<String, Vec<ProcessId>> = BTreeMap::new();
+        for (host, cfg) in &self.stores {
+            let first = n_ctrl + nb + stores.len() as u32;
+            let group: Vec<ProcessId> = (first..first + self.store_replication as u32)
+                .map(ProcessId)
+                .collect();
+            for (index, replica_host) in self.store_replica_hosts(host).into_iter().enumerate() {
+                stores.push(StoreReplica {
+                    group_host: host.clone(),
+                    host: replica_host,
+                    cfg: cfg.clone(),
+                    group: group.clone(),
+                    index,
+                });
+            }
+            store_groups.insert(host.clone(), group);
+        }
 
         // Controllers. Each broker's rack is the host it is placed on, so
         // topic creation spreads a partition's replicas across hosts before
         // reusing one (Kafka's `broker.rack`).
-        let racks: BTreeMap<BrokerId, String> = self
+        let racks: BTreeMap<BrokerId, String> = facts
             .brokers
             .iter()
             .enumerate()
-            .map(|(i, (host, _))| (BrokerId(i as u32), host.clone()))
+            .map(|(i, b)| (BrokerId(i as u32), b.host.clone()))
             .collect();
         match self.mode {
             CoordinationMode::Zk => {
-                let mut c = self.controller_cfg.clone();
-                c.mode = CoordinationMode::Zk;
                 let pid = sim.spawn(Box::new(ZkController::with_racks(
-                    c,
-                    brokers_btree.clone(),
-                    &self.topics,
+                    facts.controller.clone(),
+                    broker_pids.clone(),
+                    &topics,
                     &racks,
                 )));
-                debug_assert_eq!(pid, controller_pids[0]);
-                placements.push((pid, ctrl_hosts[0].clone()));
-                let slot = ledger
+                place(&net, pid, &ctrl_hosts[0]);
+                ledger
                     .borrow_mut()
                     .register("zk-controller", self.mem_model.controller);
-                let _ = slot;
             }
             CoordinationMode::Kraft => {
                 let quorum: BTreeMap<BrokerId, ProcessId> = (0..n_ctrl)
                     .map(|i| (BrokerId(100_000 + i), controller_pids[i as usize]))
                     .collect();
-                for i in 0..n_ctrl {
-                    let mut c = self.controller_cfg.clone();
-                    c.mode = CoordinationMode::Kraft;
+                for (i, host) in ctrl_hosts.iter().enumerate() {
                     let pid = sim.spawn(Box::new(KraftController::with_racks(
-                        BrokerId(100_000 + i),
+                        BrokerId(100_000 + i as u32),
                         quorum.clone(),
-                        brokers_btree.clone(),
-                        c,
-                        self.topics.clone(),
+                        broker_pids.clone(),
+                        facts.controller.clone(),
+                        topics.clone(),
                         racks.clone(),
                     )));
-                    debug_assert_eq!(pid, controller_pids[i as usize]);
-                    placements.push((pid, ctrl_hosts[i as usize].clone()));
+                    place(&net, pid, host);
                     ledger
                         .borrow_mut()
                         .register(format!("kraft-{i}"), self.mem_model.controller);
@@ -1527,315 +1517,99 @@ impl Scenario {
             }
         }
 
-        // Brokers. Each build recipe is retained so a `RestartBroker` fault
-        // can rebuild the broker (fresh process, bumped incarnation, same
-        // pid/slot/durability backend) mid-run.
-        let broker_durability = self.broker_durability.clone();
-        let broker_log_store: LogStoreHandle = log_store();
-        let mut broker_builds: Vec<BrokerBuild> = Vec::new();
-        for (i, (host, cfg)) in self.brokers.iter().enumerate() {
-            // Scenario-level cleaning knobs apply to every broker (a
-            // per-broker config that already enables a policy keeps it).
-            let mut cfg = cfg.clone();
-            cfg.log_compaction |= self.log_compaction;
-            cfg.log_retention_age = cfg.log_retention_age.or(self.log_retention_age);
-            cfg.log_retention_bytes = cfg.log_retention_bytes.or(self.log_retention_bytes);
-            let mut b = Broker::new(
-                BrokerId(i as u32),
-                cfg.clone(),
-                self.mode,
-                controller_pids.clone(),
-                brokers_hash.clone(),
-            );
-            let slot = ledger
-                .borrow_mut()
-                .register(format!("broker-{i}"), self.mem_model.broker);
-            b.set_mem_slot(ledger.clone(), slot);
-            b.set_telemetry(tele.clone());
-            let pid = sim.spawn(Box::new(b));
-            debug_assert_eq!(pid, broker_pids[i]);
-            if let Some(cpu) = cpus.get(host) {
-                sim.attach_cpu(pid, cpu.clone());
-            }
-            placements.push((pid, host.clone()));
-            broker_builds.push(BrokerBuild {
-                host: host.clone(),
-                cfg,
-                slot,
-                pid,
-                incarnation: 0,
-            });
-        }
-
-        let bootstrap_for = |host: &str| -> ProcessId {
-            self.brokers
-                .iter()
-                .position(|(h, _)| h == host)
-                .map(|i| broker_pids[i])
-                .unwrap_or(broker_pids[0])
-        };
-
-        // Stores. With `with_replicated_store(n)` each declaration becomes
-        // an n-member group: replica 0 on the declared host, the rest on
-        // auto-added `<host>-r<i>` hosts. `store_pids` keeps the declared
-        // host's replica-0 pid for components that address "the store on
-        // host X" directly (SPE store sinks); durability clients get the
-        // whole group and rotate through it on timeout.
-        let store_replication = self.store_replication;
-        let mut store_pids: BTreeMap<String, ProcessId> = BTreeMap::new();
-        let mut store_groups: BTreeMap<String, Vec<ProcessId>> = BTreeMap::new();
-        let mut store_builds: Vec<StoreBuild> = Vec::new();
-        for (host, cfg) in &self.stores {
-            let replica_hosts = self.store_replica_hosts(host);
-            let mut group: Vec<ProcessId> = Vec::new();
-            for (i, rh) in replica_hosts.iter().enumerate() {
-                let mut st = StoreServer::new(cfg.clone());
-                st.set_name(format!("store-{rh}"));
-                let slot = ledger
-                    .borrow_mut()
-                    .register(format!("store-{rh}"), self.mem_model.store);
-                st.set_mem_slot(ledger.clone(), slot);
-                st.set_telemetry(tele.clone());
-                let pid = sim.spawn(Box::new(st));
-                if let Some(cpu) = cpus.get(rh) {
-                    sim.attach_cpu(pid, cpu.clone());
+        // Every other component comes from the lowered configs plus the
+        // factories only the scenario holds (plans, sources, sinks). Each
+        // classic SPE job is the degenerate 1×1 layout keeping the job
+        // name, host, and producer id it always had.
+        let jobs: Vec<SpeJobMeta> = self
+            .spe_jobs
+            .into_iter()
+            .zip(facts.jobs)
+            .enumerate()
+            .map(|(j, ((host, spec), f))| {
+                let stage_par: Vec<usize> = (0..f.n_stages)
+                    .map(|s| if f.parallel { spec.par_of(s) } else { 1 })
+                    .collect();
+                let sink = match spec.sink {
+                    SpeSinkSpec::Topic(t) => SpeSink::Topic(t),
+                    SpeSinkSpec::Collect => SpeSink::Collect,
+                    SpeSinkSpec::StoreOn { host: sh, table } => SpeSink::Store {
+                        store: store_groups.get(&sh).expect("validated store host")[0],
+                        table,
+                    },
+                };
+                SpeJobMeta {
+                    name: f.name,
+                    bootstrap: bootstrap_for(&host),
+                    host,
+                    plan: spec.plan,
+                    cfg: f.cfg,
+                    sources: f.sources,
+                    sink,
+                    parallel: f.parallel,
+                    n_stages: f.n_stages,
+                    key_groups: f.key_groups,
+                    prev_stage_par: stage_par.clone(),
+                    stage_par,
+                    rescale: f.rescale,
+                    job_idx: j,
                 }
-                placements.push((pid, rh.clone()));
-                group.push(pid);
-                store_builds.push(StoreBuild {
-                    group_host: host.clone(),
-                    replica_host: rh.clone(),
-                    replica: i as u32,
-                    cfg: cfg.clone(),
-                    group: Vec::new(),
-                    index: i,
-                    slot,
-                    pid,
-                });
-            }
-            if store_replication > 1 {
-                for (i, pid) in group.iter().enumerate() {
-                    sim.process_mut::<StoreServer>(*pid)
-                        .expect("store just spawned")
-                        .set_group(group.clone(), i, false);
-                }
-            }
-            store_pids.insert(host.clone(), group[0]);
-            store_groups.insert(host.clone(), group.clone());
-            let filled = store_builds.len();
-            for b in &mut store_builds[filled - group.len()..] {
-                b.group = group.clone();
-            }
-        }
-
-        // Attach broker-log durability now that store pids are known. The
-        // backend factory is shared with the restart path below.
-        let make_log_backend = {
-            let store_groups = store_groups.clone();
-            let broker_log_store = broker_log_store.clone();
-            move |spec: &BrokerDurabilitySpec, incarnation: u64| -> Box<dyn LogBackend> {
-                match spec {
-                    BrokerDurabilitySpec::InMemory => {
-                        Box::new(InMemoryLogBackend::new(broker_log_store.clone()))
-                    }
-                    BrokerDurabilitySpec::StoreOn { host } => {
-                        Box::new(DurableLogBackend::replicated(
-                            store_groups
-                                .get(host)
-                                .expect("validated broker-log store")
-                                .clone(),
-                            incarnation,
-                        ))
-                    }
-                }
-            }
-        };
-        if let Some(spec) = &broker_durability {
-            for build in &broker_builds {
-                let b = sim
-                    .process_mut::<Broker>(build.pid)
-                    .expect("broker just spawned");
-                b.set_durability(make_log_backend(spec, 0), false);
-            }
-        }
-
-        // SPE jobs. Each job expands into one worker per (stage, instance):
-        // the classic layout is the degenerate 1×1 case keeping the job
-        // name, hosts, and producer ids it always had. Build recipes are
-        // retained so crash/restart faults can rebuild any instance — and a
-        // rescale restart can change how many there are — mid-run.
-        let checkpoint_spec = self.checkpointing.clone();
-        let checkpoint_snapshots: SnapshotStoreHandle = snapshot_store();
-        let mut spe_pids: BTreeMap<String, ProcessId> = BTreeMap::new();
-        let mut job_metas: Vec<SpeJobMeta> = Vec::new();
-        let mut instance_builds: BTreeMap<(usize, usize, usize), SpeInstanceBuild> =
-            BTreeMap::new();
-        for (j, (host, job)) in self.spe_jobs.into_iter().enumerate() {
-            let parallel = job.is_parallel();
-            let (n_stages, _) = if parallel {
-                Self::job_stage_layout(&job)
-            } else {
-                (1, vec![1])
-            };
-            let stage_par: Vec<usize> = (0..n_stages)
-                .map(|s| if parallel { job.par_of(s) } else { 1 })
-                .collect();
-            let sink = match job.sink {
-                SpeSinkSpec::Topic(t) => SpeSink::Topic(t),
-                SpeSinkSpec::Collect => SpeSink::Collect,
-                SpeSinkSpec::StoreOn { host: sh, table } => SpeSink::Store {
-                    store: *store_pids.get(&sh).expect("validated store host"),
-                    table,
-                },
-            };
-            let mut cfg = job.cfg;
-            if cfg.checkpoint.is_none() {
-                if let Some(spec) = &checkpoint_spec {
-                    cfg.checkpoint = Some(spec.cfg);
-                }
-            }
-            if self.transactional_sinks {
-                // Stage topic-sink (and shuffle) output under per-epoch
-                // transaction markers, and read upstream (possibly also
-                // transactional) topics with read-committed isolation.
-                cfg.transactional_sink = true;
-                cfg.consumer.read_committed = true;
-            }
-            if let Some(acks) = self.acks_override {
-                cfg.producer.acks = acks;
-            }
-            self.batching.apply(&mut cfg.producer);
-            let meta = SpeJobMeta {
-                name: job.name.clone(),
-                host: host.clone(),
-                plan: job.plan,
-                cfg,
-                sources: job.sources,
-                sink,
-                parallel,
-                n_stages,
-                key_groups: job.key_groups,
-                stage_par: stage_par.clone(),
-                prev_stage_par: stage_par.clone(),
-                rescale: job.rescale_on_restart,
-                job_idx: j,
+            })
+            .collect();
+        let producers: Vec<ProducerStub> = self
+            .producers
+            .into_iter()
+            .zip(facts.producers)
+            .map(|((host, source, _), f)| ProducerStub {
                 bootstrap: bootstrap_for(&host),
-            };
-            for (s, par) in stage_par.iter().enumerate() {
-                for i in 0..*par {
-                    let name = meta.instance_name(s, i);
-                    let ihost = meta.instance_host(s, i);
-                    let slot = ledger
-                        .borrow_mut()
-                        .register(format!("spe-{name}"), self.mem_model.spe);
-                    let inst = SpeInstanceBuild {
-                        stage: s,
-                        index: i,
-                        name: name.clone(),
-                        host: ihost.clone(),
-                        slot,
-                        pid: ProcessId(0),
-                        incarnation: 0,
-                    };
-                    let w = build_instance_worker(
-                        &meta,
-                        &inst,
-                        &brokers_hash,
-                        &ledger,
-                        &checkpoint_spec,
-                        &checkpoint_snapshots,
-                        &store_groups,
-                        &tele,
-                        false,
-                    );
-                    let pid = sim.spawn(Box::new(w));
-                    if let Some(cpu) = cpus.get(&ihost) {
-                        sim.attach_cpu(pid, cpu.clone());
-                    }
-                    placements.push((pid, ihost));
-                    spe_pids.insert(name, pid);
-                    instance_builds.insert((j, s, i), SpeInstanceBuild { pid, ..inst });
-                }
-            }
-            job_metas.push(meta);
-        }
-
-        // Producers. Each build recipe is retained so a `RestartProcess`
-        // fault on a `producer-<idx>` stub can rebuild it: the respawn
-        // reuses the same producer id and epoch and restarts the source
-        // from the beginning — the broker's idempotent dedup acknowledges
-        // the already-appended prefix without a second copy, so the log
-        // converges to exactly the no-fault contents.
-        let mut producer_pids: Vec<ProcessId> = Vec::new();
-        let mut producer_builds: Vec<ProducerStubBuild> = Vec::new();
-        for (i, (host, source, mut cfg)) in self.producers.into_iter().enumerate() {
-            if let Some(acks) = self.acks_override {
-                cfg.acks = acks;
-            }
-            self.batching.apply(&mut cfg);
-            let base = self.mem_model.producer_base
-                + (cfg.buffer_memory as f64 * self.mem_model.producer_heap_factor) as u64;
-            let slot = ledger.borrow_mut().register(format!("producer-{i}"), base);
-            let build = ProducerStubBuild {
-                host: host.clone(),
+                host,
                 source,
-                cfg,
+                cfg: f.cfg,
+            })
+            .collect();
+        let consumers: Vec<ConsumerStub> = self
+            .consumers
+            .into_iter()
+            .zip(facts.consumers)
+            .map(|((host, _, _, sink), f)| ConsumerStub {
                 bootstrap: bootstrap_for(&host),
-                slot,
-                pid: ProcessId(0),
-            };
-            let p = build_producer_stub(i, &build, &brokers_hash, &ledger, &tele);
-            let pid = sim.spawn(Box::new(p));
-            if let Some(cpu) = cpus.get(&host) {
-                sim.attach_cpu(pid, cpu.clone());
-            }
-            placements.push((pid, host));
-            producer_pids.push(pid);
-            producer_builds.push(ProducerStubBuild { pid, ..build });
-        }
-
-        // Consumers, each wrapped by the monitor; recipes retained for
-        // `consumer-<idx>` crash/restart faults. A respawned member of a
-        // consumer group resumes from its broker-committed offsets; a
-        // group-less consumer restarts at the log start and re-reads.
-        let monitor: MonitorHandle = MonitorCore::new_handle();
-        let mut consumer_pids: Vec<ProcessId> = Vec::new();
-        let mut consumer_builds: Vec<ConsumerStubBuild> = Vec::new();
-        for (i, (host, mut cfg, topics, sink)) in self.consumers.into_iter().enumerate() {
-            if self.transactional_sinks {
-                // Observing a transactional sink's exactly-once output
-                // requires read-committed isolation on the reader.
-                cfg.read_committed = true;
-            }
-            if cfg.group_membership && cfg.group_member_id.is_empty() {
-                // A stable member id makes sticky assignment stick across
-                // this stub's crash/restart.
-                cfg.group_member_id = format!("consumer-{i}");
-            }
-            ledger
-                .borrow_mut()
-                .register(format!("consumer-{i}"), self.mem_model.consumer);
-            let build = ConsumerStubBuild {
-                host: host.clone(),
-                cfg,
-                topics,
+                host,
+                cfg: f.cfg,
+                topics: f.topics,
                 sink,
-                bootstrap: bootstrap_for(&host),
-                pid: ProcessId(0),
-            };
-            let p = build_consumer_stub(i, &build, &brokers_hash, &monitor, &tele);
-            let pid = sim.spawn(Box::new(p));
-            if let Some(cpu) = cpus.get(&host) {
-                sim.attach_cpu(pid, cpu.clone());
-            }
-            placements.push((pid, host));
-            consumer_pids.push(pid);
-            consumer_builds.push(ConsumerStubBuild { pid, ..build });
+            })
+            .collect();
+        let mut table = Components {
+            entries: BTreeMap::new(),
+            targets,
+            brokers: facts.brokers,
+            stores,
+            jobs,
+            producers,
+            consumers,
+            mode: self.mode,
+            controller_pids,
+            broker_pids,
+            durability: self.broker_durability,
+            log_store: log_store(),
+            checkpointing: self.checkpointing,
+            snapshots: snapshot_store(),
+            store_groups,
+            mem_model: self.mem_model,
+            ledger: ledger.clone(),
+            tele: tele.clone(),
+            monitor: MonitorCore::new_handle(),
+            cpus,
+            net: net.clone(),
+        };
+        for (k, key) in table.initial_keys().into_iter().enumerate() {
+            let pid = table.spawn(&mut sim, key, SimTime::ZERO, 0);
+            debug_assert_eq!(pid, ProcessId(n_ctrl + k as u32), "pid layout");
         }
 
         // Fault injector, memory sampler, throughput sampler. Process-level
         // crash/restart events are applied by this orchestrator (it owns the
-        // process table); the injector handles the network-level rest.
+        // component table); the injector handles the network-level rest.
         let process_events: Vec<(SimTime, FaultAction)> =
             self.faults.process_events().cloned().collect();
         if self.faults.has_network_events() {
@@ -1861,353 +1635,76 @@ impl Scenario {
         // toggling it never shifts an existing pid (and with it the
         // deterministic event order of a seeded run).
         if self.telemetry {
-            let sampler_cpus: Vec<(String, CpuHandle)> =
-                cpus.iter().map(|(h, c)| (h.clone(), c.clone())).collect();
+            let sampler_cpus: Vec<(String, CpuHandle)> = table
+                .cpus
+                .iter()
+                .map(|(h, c)| (h.clone(), c.clone()))
+                .collect();
             sim.spawn(Box::new(
                 tele.sampler(self.telemetry_interval, sampler_cpus),
             ));
         }
 
-        // Placement.
-        {
-            let mut n = net.borrow_mut();
-            for (pid, host) in &placements {
-                let node = n
-                    .topology()
-                    .lookup(host)
-                    .unwrap_or_else(|| panic!("host `{host}` missing from topology"));
-                n.place(*pid, node);
-            }
-        }
-
-        // Execute, pausing at each process-fault instant to kill or respawn
-        // the targeted worker or broker. Crashed processes' remains are kept
-        // so the report can still surface their pre-crash metrics.
-        let mode = self.mode;
-        let mut crashed_at: BTreeMap<String, SimTime> = BTreeMap::new();
-        let mut corpses: BTreeMap<String, Box<dyn s2g_sim::Process>> = BTreeMap::new();
-        let mut broker_crashed_at: BTreeMap<u32, SimTime> = BTreeMap::new();
-        let mut broker_corpses: BTreeMap<u32, Box<dyn s2g_sim::Process>> = BTreeMap::new();
-        let mut store_crashed_at: BTreeMap<u32, SimTime> = BTreeMap::new();
-        let mut store_corpses: BTreeMap<u32, Box<dyn s2g_sim::Process>> = BTreeMap::new();
-        let mut client_crashes: BTreeMap<String, ClientRecoveryReport> = BTreeMap::new();
-        let mut client_corpses: BTreeMap<String, Box<dyn s2g_sim::Process>> = BTreeMap::new();
+        // Execute, pausing at each process-fault instant to crash or
+        // restart the targeted components.
         for (at, action) in process_events {
             if at >= duration {
                 break;
             }
             sim.run_until(at);
-            match action {
-                FaultAction::CrashProcess(name)
-                    if resolve_spe_target(&job_metas, &name).is_some() =>
-                {
-                    tele.trace_instant(at, &name, "fault:crash", "fault");
-                    // A job name kills every stage instance; an instance
-                    // name kills exactly that one.
-                    let targets: Vec<(usize, usize, usize)> =
-                        match resolve_spe_target(&job_metas, &name).expect("guard") {
-                            SpeFaultTarget::Job(j) => instance_builds
-                                .range((j, 0, 0)..(j + 1, 0, 0))
-                                .map(|(k, _)| *k)
-                                .collect(),
-                            SpeFaultTarget::Instance(j, s, i) => vec![(j, s, i)],
-                        };
-                    for key in targets {
-                        let Some(inst) = instance_builds.get(&key) else {
-                            continue;
-                        };
-                        if let Some(corpse) = sim.kill(inst.pid) {
-                            crashed_at.insert(inst.name.clone(), at);
-                            corpses.insert(inst.name.clone(), corpse);
-                        }
+            // A target the table cannot find (one the analyzer denied and
+            // `allow_deny_diagnostics` let through) is skipped.
+            let Some((target, crash, scope)) = table.resolve(&action) else {
+                continue;
+            };
+            let phase = if crash {
+                "fault:crash"
+            } else {
+                "fault:restart"
+            };
+            tele.trace_instant(at, &scope, phase, "fault");
+            match target {
+                Target::One(key) if crash => table.crash(&mut sim, key, at),
+                Target::One(key) => table.restart(&mut sim, key, at),
+                Target::Job(j) if crash => {
+                    for key in table.job_keys(j) {
+                        table.crash(&mut sim, key, at);
                     }
                 }
-                FaultAction::CrashProcess(name) => {
-                    tele.trace_instant(at, &name, "fault:crash", "fault");
-                    // A client stub: `producer-<idx>` or `consumer-<idx>`
-                    // (validated above).
-                    let pid = if let Some(i) = stub_index(&name, "producer-") {
-                        producer_builds[i].pid
-                    } else {
-                        consumer_builds[stub_index(&name, "consumer-").expect("validated")].pid
-                    };
-                    if let Some(corpse) = sim.kill(pid) {
-                        client_crashes.insert(
-                            name.clone(),
-                            ClientRecoveryReport {
-                                crashed_at: at,
-                                restarted_at: None,
-                            },
-                        );
-                        client_corpses.insert(name, corpse);
-                    }
-                }
-                FaultAction::RestartProcess(name)
-                    if resolve_spe_target(&job_metas, &name).is_none() =>
-                {
-                    tele.trace_instant(at, &name, "fault:restart", "fault");
-                    if let Some(i) = stub_index(&name, "producer-") {
-                        let build = &producer_builds[i];
-                        if sim.is_alive(build.pid) {
-                            continue; // restart without a preceding crash
-                        }
-                        let p = build_producer_stub(i, build, &brokers_hash, &ledger, &tele);
-                        sim.respawn(build.pid, Box::new(p));
-                        if let Some(cpu) = cpus.get(&build.host) {
-                            sim.attach_cpu(build.pid, cpu.clone());
-                        }
-                    } else {
-                        let i = stub_index(&name, "consumer-").expect("validated");
-                        let build = &consumer_builds[i];
-                        if sim.is_alive(build.pid) {
-                            continue;
-                        }
-                        let p = build_consumer_stub(i, build, &brokers_hash, &monitor, &tele);
-                        sim.respawn(build.pid, Box::new(p));
-                        if let Some(cpu) = cpus.get(&build.host) {
-                            sim.attach_cpu(build.pid, cpu.clone());
-                        }
-                    }
-                    if let Some(rec) = client_crashes.get_mut(&name) {
-                        rec.restarted_at = Some(at);
-                    }
-                    client_corpses.remove(&name);
-                }
-                FaultAction::RestartProcess(name) => {
-                    tele.trace_instant(at, &name, "fault:restart", "fault");
-                    let target = resolve_spe_target(&job_metas, &name).expect("validated");
-                    let (j, keys) = match target {
-                        SpeFaultTarget::Instance(j, s, i) => (j, vec![(s, i)]),
-                        SpeFaultTarget::Job(j) => {
-                            // A job-level restart is where a rescale takes
-                            // effect: every stage adopts the target
-                            // parallelism, and each respawned instance
-                            // restores from the *previous* layout's chains.
-                            let meta = &mut job_metas[j];
-                            meta.prev_stage_par = meta.stage_par.clone();
-                            if let (Some(m), true) = (meta.rescale, meta.parallel) {
-                                for p in meta.stage_par.iter_mut() {
-                                    *p = m;
-                                }
-                            }
-                            // A rescale redraws every instance's key-group
-                            // ownership, so still-running instances of the
-                            // old layout are bounced too: left alive they
-                            // would keep fetching their old partitions,
-                            // overlapping the new layout's owners. Those
-                            // within the new layout respawn below with the
-                            // new wiring; those beyond it are retired.
-                            if meta.stage_par != meta.prev_stage_par {
-                                for ((jj, _, _), inst) in instance_builds.iter() {
-                                    if *jj != j || !sim.is_alive(inst.pid) {
-                                        continue;
-                                    }
-                                    if let Some(corpse) = sim.kill(inst.pid) {
-                                        crashed_at.insert(inst.name.clone(), at);
-                                        corpses.insert(inst.name.clone(), corpse);
-                                    }
-                                }
-                            }
-                            let keys: Vec<(usize, usize)> = (0..meta.n_stages)
-                                .flat_map(|s| (0..meta.stage_par[s]).map(move |i| (s, i)))
-                                .collect();
-                            (j, keys)
-                        }
-                    };
-                    for (s, i) in keys {
-                        let meta = &job_metas[j];
-                        match instance_builds.get_mut(&(j, s, i)) {
-                            Some(inst) => {
-                                if sim.is_alive(inst.pid) {
-                                    continue; // restart without a crash: no-op
-                                }
-                                inst.incarnation += 1;
-                                let inst = &*inst;
-                                let mut w = build_instance_worker(
-                                    meta,
-                                    inst,
-                                    &brokers_hash,
-                                    &ledger,
-                                    &checkpoint_spec,
-                                    &checkpoint_snapshots,
-                                    &store_groups,
-                                    &tele,
-                                    true,
-                                );
-                                w.mark_restarted();
-                                w.set_producer_epoch(inst.incarnation as u32);
-                                sim.respawn(inst.pid, Box::new(w));
-                                if let Some(cpu) = cpus.get(&inst.host) {
-                                    sim.attach_cpu(inst.pid, cpu.clone());
-                                }
-                                corpses.remove(&inst.name);
-                            }
-                            None => {
-                                // A rescale grew the stage: spawn a brand-new
-                                // instance on its pre-provisioned host. It
-                                // still restores (filtered) state from the
-                                // old instances' chains.
-                                let iname = meta.instance_name(s, i);
-                                let ihost = meta.instance_host(s, i);
-                                let slot = ledger
-                                    .borrow_mut()
-                                    .register(format!("spe-{iname}"), self.mem_model.spe);
-                                let mut inst = SpeInstanceBuild {
-                                    stage: s,
-                                    index: i,
-                                    name: iname.clone(),
-                                    host: ihost.clone(),
-                                    slot,
-                                    pid: ProcessId(0),
-                                    incarnation: 1,
-                                };
-                                let mut w = build_instance_worker(
-                                    meta,
-                                    &inst,
-                                    &brokers_hash,
-                                    &ledger,
-                                    &checkpoint_spec,
-                                    &checkpoint_snapshots,
-                                    &store_groups,
-                                    &tele,
-                                    true,
-                                );
-                                w.mark_restarted();
-                                w.set_producer_epoch(1);
-                                let pid = sim.spawn_at(at, Box::new(w));
-                                if let Some(cpu) = cpus.get(&ihost) {
-                                    sim.attach_cpu(pid, cpu.clone());
-                                }
-                                {
-                                    let mut n = net.borrow_mut();
-                                    let node = n
-                                        .topology()
-                                        .lookup(&ihost)
-                                        .expect("pre-provisioned instance host");
-                                    n.place(pid, node);
-                                }
-                                inst.pid = pid;
-                                spe_pids.insert(iname, pid);
-                                instance_builds.insert((j, s, i), inst);
-                            }
-                        }
-                    }
-                    if let SpeFaultTarget::Job(j) = target {
-                        // Future single-instance respawns restore from the
-                        // post-rescale layout.
-                        let meta = &mut job_metas[j];
-                        meta.prev_stage_par = meta.stage_par.clone();
-                    }
-                }
-                FaultAction::CrashBroker(idx) => {
-                    tele.trace_instant(at, &format!("broker-{idx}"), "fault:crash", "fault");
-                    let build = &broker_builds[idx as usize];
-                    if let Some(corpse) = sim.kill(build.pid) {
-                        broker_crashed_at.insert(idx, at);
-                        broker_corpses.insert(idx, corpse);
-                    }
-                }
-                FaultAction::CrashStore(idx) => {
-                    let build = &store_builds[idx as usize];
-                    let scope = format!("store-{}", build.replica_host);
-                    tele.trace_instant(at, &scope, "fault:crash", "fault");
-                    if let Some(corpse) = sim.kill(build.pid) {
-                        store_crashed_at.insert(idx, at);
-                        store_corpses.insert(idx, corpse);
-                    }
-                }
-                FaultAction::RestartStore(idx) => {
-                    let build = &store_builds[idx as usize];
-                    let scope = format!("store-{}", build.replica_host);
-                    tele.trace_instant(at, &scope, "fault:restart", "fault");
-                    if sim.is_alive(build.pid) {
-                        continue; // restart without a preceding crash: no-op
-                    }
-                    let mut st = StoreServer::new(build.cfg.clone());
-                    st.set_name(format!("store-{}", build.replica_host));
-                    st.set_mem_slot(ledger.clone(), build.slot);
-                    st.set_telemetry(tele.clone());
-                    if build.group.len() > 1 {
-                        // Rejoin recovering: pull the op log from a ready
-                        // member before serving again.
-                        st.set_group(build.group.clone(), build.index, true);
-                    }
-                    sim.respawn(build.pid, Box::new(st));
-                    if let Some(cpu) = cpus.get(&build.replica_host) {
-                        sim.attach_cpu(build.pid, cpu.clone());
-                    }
-                    store_corpses.remove(&idx);
-                }
-                FaultAction::RestartBroker(idx) => {
-                    tele.trace_instant(at, &format!("broker-{idx}"), "fault:restart", "fault");
-                    let build = &mut broker_builds[idx as usize];
-                    if sim.is_alive(build.pid) {
-                        continue; // restart without a preceding crash: no-op
-                    }
-                    build.incarnation += 1;
-                    let mut b = Broker::new(
-                        BrokerId(idx),
-                        build.cfg.clone(),
-                        mode,
-                        controller_pids.clone(),
-                        brokers_hash.clone(),
-                    );
-                    b.set_mem_slot(ledger.clone(), build.slot);
-                    b.set_incarnation(build.incarnation);
-                    b.set_telemetry(tele.clone());
-                    match &broker_durability {
-                        Some(spec) => {
-                            b.set_durability(make_log_backend(spec, build.incarnation), true)
-                        }
-                        // Without a log backend the broker restarts empty
-                        // (the data-loss contrast); still record metrics.
-                        None => b.mark_restarted(),
-                    }
-                    sim.respawn(build.pid, Box::new(b));
-                    if let Some(cpu) = cpus.get(&build.host) {
-                        sim.attach_cpu(build.pid, cpu.clone());
-                    }
-                    broker_corpses.remove(&idx);
-                }
-                _ => unreachable!("process_events yields only process actions"),
+                Target::Job(j) => table.restart_job(&mut sim, j, at),
             }
         }
         sim.run_until(duration);
 
-        // Harvest the report. Crashed-and-not-restarted stubs are absent
-        // from the process table; report from their corpses instead.
-        let mut producers_report = Vec::new();
-        for (i, pid) in producer_pids.iter().enumerate() {
-            let name = format!("producer-{i}");
-            let p = sim.process_ref::<ProducerProcess>(*pid).or_else(|| {
-                client_corpses.get(&name).and_then(|c| {
-                    (c.as_ref() as &dyn std::any::Any).downcast_ref::<ProducerProcess>()
-                })
-            });
-            let p = p.expect("producer process (live or corpse)");
-            producers_report.push(ProducerReport {
-                id: ProducerId(i as u32),
-                stats: p.client().stats(),
-                outcomes: p.client().outcomes().to_vec(),
-                sent_index: p.client().sent_index().to_vec(),
-                recovery: client_crashes.get(&name).copied(),
-            });
-        }
-        let mut consumers_report = Vec::new();
-        for (i, pid) in consumer_pids.iter().enumerate() {
-            let name = format!("consumer-{i}");
-            let c = sim.process_ref::<ConsumerProcess>(*pid).or_else(|| {
-                client_corpses.get(&name).and_then(|c| {
-                    (c.as_ref() as &dyn std::any::Any).downcast_ref::<ConsumerProcess>()
-                })
-            });
-            let c = c.expect("consumer process (live or corpse)");
-            consumers_report.push(ConsumerReport {
-                id: i as u32,
-                stats: c.client().stats(),
-                recovery: client_crashes.get(&name).copied(),
-            });
-        }
+        // Harvest the report.
+        let producers_report: Vec<ProducerReport> = (0..table.producers.len())
+            .map(|i| {
+                let key = Key::Producer(i);
+                let p = table
+                    .process::<ProducerProcess>(&sim, key)
+                    .expect("producer process (live or corpse)");
+                ProducerReport {
+                    id: ProducerId(i as u32),
+                    stats: p.client().stats(),
+                    outcomes: p.client().outcomes().to_vec(),
+                    sent_index: p.client().sent_index().to_vec(),
+                    recovery: table.entries[&key].client_recovery(),
+                }
+            })
+            .collect();
+        let consumers_report: Vec<ConsumerReport> = (0..table.consumers.len())
+            .map(|i| {
+                let key = Key::Consumer(i);
+                let c = table
+                    .process::<ConsumerProcess>(&sim, key)
+                    .expect("consumer process (live or corpse)");
+                ConsumerReport {
+                    id: i as u32,
+                    stats: c.client().stats(),
+                    recovery: table.entries[&key].client_recovery(),
+                }
+            })
+            .collect();
         // Two passes over the brokers: attributing leadership moves to one
         // crashed broker needs every *other* broker's election history.
         type BrokerView = (
@@ -2215,24 +1712,21 @@ impl Scenario {
             Vec<(SimTime, TopicPartition, bool)>,
             Option<BrokerRecoveryInfo>,
         );
-        let mut broker_views: Vec<BrokerView> = Vec::new();
-        for (i, pid) in broker_pids.iter().enumerate() {
-            // A crashed-and-not-restarted broker is absent from the process
-            // table; report from its corpse instead.
-            let b = sim.process_ref::<Broker>(*pid).or_else(|| {
-                broker_corpses
-                    .get(&(i as u32))
-                    .and_then(|c| (c.as_ref() as &dyn std::any::Any).downcast_ref::<Broker>())
-            });
-            let b = b.expect("broker process (live or corpse)");
-            broker_views.push((b.stats(), b.leadership_events().to_vec(), b.recovery_info()));
-        }
+        let broker_views: Vec<BrokerView> = (0..nb)
+            .map(|i| {
+                let b = table
+                    .process::<Broker>(&sim, Key::Broker(i))
+                    .expect("broker process (live or corpse)");
+                (b.stats(), b.leadership_events().to_vec(), b.recovery_info())
+            })
+            .collect();
         let isr_shrinks: u64 = broker_views.iter().map(|(s, _, _)| s.isr_shrinks).sum();
         let isr_expands: u64 = broker_views.iter().map(|(s, _, _)| s.isr_expands).sum();
         let mut brokers_report = Vec::new();
         for (i, (stats, events, info)) in broker_views.iter().enumerate() {
             let info = *info;
-            let recovery = broker_crashed_at.get(&(i as u32)).map(|t| {
+            let crashed_at = table.entries[&Key::Broker(i as u32)].crashed_at;
+            let recovery = crashed_at.map(|t| {
                 // Partitions some *other* broker won at/after the crash:
                 // leadership that moved off (or shuffled around) this
                 // broker while it was down.
@@ -2241,11 +1735,11 @@ impl Scenario {
                     .enumerate()
                     .filter(|(j, _)| *j != i)
                     .flat_map(|(_, (_, ev, _))| ev.iter())
-                    .filter(|(at, _, became)| *became && *at >= *t)
+                    .filter(|(at, _, became)| *became && *at >= t)
                     .map(|(_, tp, _)| tp)
                     .collect();
                 BrokerRecoveryReport {
-                    crashed_at: *t,
+                    crashed_at: t,
                     restarted_at: info.map(|r| r.restarted_at),
                     recovered_at: info.and_then(|r| r.recovered_at),
                     replayed_records: info.map_or(0, |r| r.replayed_records),
@@ -2264,52 +1758,48 @@ impl Scenario {
                 recovery,
             });
         }
-        let mut stores_report = Vec::new();
-        for (idx, build) in store_builds.iter().enumerate() {
-            // A crashed-and-not-restarted replica is absent from the
-            // process table; report from its corpse instead.
-            let st = sim.process_ref::<StoreServer>(build.pid).or_else(|| {
-                store_corpses
-                    .get(&(idx as u32))
-                    .and_then(|c| (c.as_ref() as &dyn std::any::Any).downcast_ref::<StoreServer>())
-            });
-            let recovery = store_crashed_at.get(&(idx as u32)).map(|t| {
-                let info = st.and_then(StoreServer::recovery_info);
-                StoreRecoveryReport {
-                    crashed_at: *t,
-                    restarted_at: info.map(|i| i.restarted_at),
-                    resynced_at: info.and_then(|i| i.resynced_at),
-                    sync_ops: info.map_or(0, |i| i.sync_ops),
-                    sync_bytes: info.map_or(0, |i| i.sync_bytes),
+        let stores_report: Vec<StoreReport> = table
+            .stores
+            .iter()
+            .enumerate()
+            .map(|(r, replica)| {
+                let key = Key::Store(r as u32);
+                let st = table.process::<StoreServer>(&sim, key);
+                let recovery = table.entries[&key].crashed_at.map(|t| {
+                    let info = st.and_then(StoreServer::recovery_info);
+                    StoreRecoveryReport {
+                        crashed_at: t,
+                        restarted_at: info.map(|i| i.restarted_at),
+                        resynced_at: info.and_then(|i| i.resynced_at),
+                        sync_ops: info.map_or(0, |i| i.sync_ops),
+                        sync_bytes: info.map_or(0, |i| i.sync_bytes),
+                    }
+                });
+                StoreReport {
+                    host: replica.group_host.clone(),
+                    replica: replica.index as u32,
+                    kv_keys: st.map_or(0, |sv| sv.kv().len() as u64),
+                    is_primary: st.is_some_and(StoreServer::is_primary),
+                    oplog_len: st.map_or(0, |sv| sv.oplog_len() as u64),
+                    oplog_truncated: st.map_or(0, StoreServer::oplog_truncated),
+                    recovery,
                 }
-            });
-            stores_report.push(StoreReport {
-                host: build.group_host.clone(),
-                replica: build.replica,
-                kv_keys: st.map_or(0, |sv| sv.kv().len() as u64),
-                is_primary: st.is_some_and(StoreServer::is_primary),
-                oplog_len: st.map_or(0, |sv| sv.oplog_len() as u64),
-                oplog_truncated: st.map_or(0, StoreServer::oplog_truncated),
-                recovery,
-            });
-        }
+            })
+            .collect();
         let mut spe_report = BTreeMap::new();
         let mut spe_instances = BTreeMap::new();
-        for meta in &job_metas {
-            let j = meta.job_idx;
+        for (j, meta) in table.jobs.iter().enumerate() {
             let mut per: Vec<(usize, SpeReport)> = Vec::new();
-            for (key, inst) in instance_builds.range((j, 0, 0)..(j + 1, 0, 0)) {
-                // A crashed-and-not-restarted instance is absent from the
-                // process table; report from its corpse instead.
-                let w = sim.process_ref::<SpeWorker>(inst.pid).or_else(|| {
-                    corpses.get(&inst.name).and_then(|c| {
-                        (c.as_ref() as &dyn std::any::Any).downcast_ref::<SpeWorker>()
-                    })
-                });
-                let recovery = crashed_at.get(&inst.name).map(|t| {
+            for key in table.job_keys(j) {
+                let Key::Instance(_, stage, _) = key else {
+                    unreachable!("job keys are stage instances")
+                };
+                let c = &table.entries[&key];
+                let w = table.process::<SpeWorker>(&sim, key);
+                let recovery = c.crashed_at.map(|t| {
                     let info = w.and_then(SpeWorker::recovery_info);
                     RecoveryReport {
-                        crashed_at: *t,
+                        crashed_at: t,
                         restarted_at: info.map(|i| i.restarted_at),
                         restored_at: info.and_then(|i| i.restored_at),
                         snapshot_taken_at: info.and_then(|i| i.snapshot_taken_at),
@@ -2330,9 +1820,9 @@ impl Scenario {
                     recovery,
                 };
                 if meta.parallel {
-                    spe_instances.insert(inst.name.clone(), report.clone());
+                    spe_instances.insert(c.name.clone(), report.clone());
                 }
-                per.push((key.1, report));
+                per.push((stage, report));
             }
             let agg = if meta.parallel {
                 aggregate_spe_reports(meta, &per)
@@ -2357,7 +1847,7 @@ impl Scenario {
                     .to_vec()
             })
             .unwrap_or_default();
-        let cpu_handles: Vec<CpuHandle> = cpus.values().cloned().collect();
+        let cpu_handles: Vec<CpuHandle> = table.cpus.values().cloned().collect();
         let cpu_series = cpu_utilization_series(
             &cpu_handles,
             self.server.sample_interval,
@@ -2393,19 +1883,40 @@ impl Scenario {
             shared_batch_copies,
         };
 
+        let pids = |f: fn(&Key) -> bool| -> Vec<ProcessId> {
+            table
+                .entries
+                .iter()
+                .filter(|(k, _)| f(k))
+                .map(|(_, c)| c.pid)
+                .collect()
+        };
+        let producer_pids = pids(|k| matches!(k, Key::Producer(_)));
+        let consumer_pids = pids(|k| matches!(k, Key::Consumer(_)));
+        let spe_pids = table
+            .entries
+            .iter()
+            .filter(|(k, _)| matches!(k, Key::Instance(..)))
+            .map(|(_, c)| (c.name.clone(), c.pid))
+            .collect();
+        let store_pids = table
+            .store_groups
+            .iter()
+            .map(|(host, group)| (host.clone(), group[0]))
+            .collect();
         Ok(RunResult {
             sim,
             net,
-            monitor,
+            monitor: table.monitor,
             ledger,
-            cpus,
-            broker_pids,
+            cpus: table.cpus,
+            broker_pids: table.broker_pids.into_values().collect(),
             producer_pids,
             consumer_pids,
             spe_pids,
             store_pids,
-            store_group_pids: store_groups,
-            checkpoint_snapshots,
+            store_group_pids: table.store_groups,
+            checkpoint_snapshots: table.snapshots,
             telemetry: tele,
             report,
         })
@@ -2445,107 +1956,521 @@ impl BatchingOverrides {
     }
 }
 
-/// Parses a client-stub fault target of the form `<prefix><idx>` (e.g.
-/// `producer-0`).
-fn stub_index(name: &str, prefix: &str) -> Option<usize> {
-    name.strip_prefix(prefix)?.parse().ok()
+/// A scenario after [`Scenario::lower`]: the analyzer's facts plus what
+/// only the spawner needs.
+struct Lowered {
+    /// Effective configs, topics, hosts and the normalized fault plan.
+    facts: ScenarioFacts,
+    /// Declared plus auto-declared shuffle topics, replication applied.
+    topics: Vec<TopicSpec>,
+    /// Every process name a fault may target (the analyzer's
+    /// `valid_process_targets` are its keys).
+    targets: BTreeMap<String, Target>,
 }
 
-/// Everything needed to (re)build one producer stub for a
-/// `RestartProcess` fault: same host, pid, memory slot, producer id, and —
-/// deliberately — the same producer epoch. The respawned source restarts
-/// from record zero; the broker's idempotent dedup recognizes the
-/// already-appended `(epoch, seq)` prefix and acknowledges it without
-/// appending second copies, so the log converges to the no-fault contents.
-struct ProducerStubBuild {
+/// One entry of the run's component table, by kind and index. The derived
+/// order is also the initial spawn order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Broker(u32),
+    /// A store replica, by global replica index.
+    Store(u32),
+    /// A stage instance: `(job, stage, instance)`.
+    Instance(usize, usize, usize),
+    Producer(usize),
+    Consumer(usize),
+}
+
+/// What a crash/restart fault acts on.
+#[derive(Clone, Copy)]
+enum Target {
+    /// Every stage instance of a job; a restart is where a rescale takes
+    /// effect.
+    Job(usize),
+    /// One component.
+    One(Key),
+}
+
+/// Names every process a crash/restart fault may target: each job, each
+/// `job/stage/instance` a parallel job may ever run (rescale targets
+/// included), the `job/instance` shorthand for its last stage, and the
+/// `producer-<idx>`/`consumer-<idx>` stubs. The first name wins a clash, so
+/// job names shadow everything else.
+fn process_targets(
+    jobs: &[JobFacts],
+    producers: usize,
+    consumers: usize,
+) -> BTreeMap<String, Target> {
+    let mut names: Vec<(String, Target)> = jobs
+        .iter()
+        .enumerate()
+        .map(|(j, job)| (job.name.clone(), Target::Job(j)))
+        .collect();
+    for (j, job) in jobs.iter().enumerate().filter(|(_, job)| job.parallel) {
+        let instance = |s: usize, i: usize| Target::One(Key::Instance(j, s, i));
+        for (s, max) in job.max_per.iter().enumerate() {
+            names.extend((0..*max).map(|i| (instance_name(&job.name, s, i), instance(s, i))));
+        }
+        let last = job.n_stages - 1;
+        names.extend(
+            (0..job.max_per[last]).map(|i| (format!("{}/{i}", job.name), instance(last, i))),
+        );
+    }
+    names.extend((0..producers).map(|i| (format!("producer-{i}"), Target::One(Key::Producer(i)))));
+    names.extend((0..consumers).map(|i| (format!("consumer-{i}"), Target::One(Key::Consumer(i)))));
+    let mut targets = BTreeMap::new();
+    for (name, target) in names {
+        targets.entry(name).or_insert(target);
+    }
+    targets
+}
+
+/// Places a spawned process on its host.
+fn place(net: &NetHandle, pid: ProcessId, host: &str) {
+    let mut n = net.borrow_mut();
+    let node = n
+        .topology()
+        .lookup(host)
+        .unwrap_or_else(|| panic!("host `{host}` missing from topology"));
+    n.place(pid, node);
+}
+
+/// One spawned process in the run's component table.
+struct Component {
+    /// `broker-<i>`, `store-<host>`, the stage instance (or classic job)
+    /// name, `producer-<i>` or `consumer-<i>`.
+    name: String,
+    host: String,
+    pid: ProcessId,
+    slot: MemSlot,
+    /// 0 at the initial spawn, bumped by every respawn (an instance a
+    /// rescale adds starts at 1). A broker stamps it into its heartbeats,
+    /// a stage instance uses it as its sink producer's epoch.
+    incarnation: u64,
+    /// The fault plan's last crash of this component.
+    crashed_at: Option<SimTime>,
+    /// The respawn after that crash.
+    restarted_at: Option<SimTime>,
+    /// The dead process while it is down, so the report can still read
+    /// its pre-crash metrics.
+    corpse: Option<Box<dyn Process>>,
+}
+
+impl Component {
+    fn client_recovery(&self) -> Option<ClientRecoveryReport> {
+        self.crashed_at.map(|crashed_at| ClientRecoveryReport {
+            crashed_at,
+            restarted_at: self.restarted_at,
+        })
+    }
+}
+
+/// One store-group replica's recipe.
+struct StoreReplica {
+    /// The declared host (names the group).
+    group_host: String,
+    /// The host this replica runs on (`<host>` or `<host>-r<i>`).
+    host: String,
+    cfg: StoreConfig,
+    /// Every member's pid, in index order.
+    group: Vec<ProcessId>,
+    /// Member index within the group.
+    index: usize,
+}
+
+/// A producer stub's recipe. A respawn reuses the same producer id and —
+/// deliberately — the same producer epoch: the source restarts from record
+/// zero, and the broker's idempotent dedup recognizes the already-appended
+/// `(epoch, seq)` prefix and acknowledges it without appending second
+/// copies, so the log converges to the no-fault contents.
+struct ProducerStub {
     host: String,
     source: SourceSpec,
     cfg: ProducerConfig,
     bootstrap: ProcessId,
-    slot: MemSlot,
-    pid: ProcessId,
 }
 
-fn build_producer_stub(
-    idx: usize,
-    build: &ProducerStubBuild,
-    brokers: &BTreeMap<BrokerId, ProcessId>,
-    ledger: &LedgerHandle,
-    tele: &Telemetry,
-) -> ProducerProcess {
-    let mut client = ProducerClient::new(
-        ProducerId(idx as u32),
-        build.cfg.clone(),
-        build.bootstrap,
-        brokers.clone(),
-        0,
-    );
-    client.set_mem_slot(ledger.clone(), build.slot);
-    let mut p = ProducerProcess::new(client, build.source.build());
-    p.set_telemetry(tele.clone());
-    p
-}
-
-/// Everything needed to (re)build one consumer stub for a
-/// `RestartProcess` fault. A respawned group member resumes from its
+/// A consumer stub's recipe. A respawned group member resumes from its
 /// broker-committed offsets; without a group it restarts at the log start
 /// and re-reads (duplicate deliveries the monitor makes observable).
-struct ConsumerStubBuild {
+struct ConsumerStub {
     host: String,
     cfg: ConsumerConfig,
     topics: Vec<String>,
     sink: ConsumerSinkSpec,
     bootstrap: ProcessId,
-    pid: ProcessId,
 }
 
-fn build_consumer_stub(
-    idx: usize,
-    build: &ConsumerStubBuild,
-    brokers: &BTreeMap<BrokerId, ProcessId>,
-    monitor: &MonitorHandle,
-    tele: &Telemetry,
-) -> ConsumerProcess {
-    let inner = build.sink.build();
-    let wrapped = MonitoredSink::new(monitor.clone(), idx as u32, inner);
-    let client = ConsumerClient::new(
-        build.cfg.clone(),
-        build.bootstrap,
-        brokers.clone(),
-        build.topics.clone(),
-    );
-    let mut p = ConsumerProcess::new(idx as u32, client, Box::new(wrapped));
-    p.set_telemetry(tele.clone());
-    p
+/// The run's component table: one entry per spawned broker, store replica,
+/// stage instance and client stub, plus the recipes and run-wide handles
+/// that build them. Spawning, crashing, restarting and the report's
+/// live-or-corpse lookup each have one path through it.
+struct Components {
+    entries: BTreeMap<Key, Component>,
+    targets: BTreeMap<String, Target>,
+    brokers: Vec<BrokerFacts>,
+    stores: Vec<StoreReplica>,
+    jobs: Vec<SpeJobMeta>,
+    producers: Vec<ProducerStub>,
+    consumers: Vec<ConsumerStub>,
+    mode: CoordinationMode,
+    controller_pids: Vec<ProcessId>,
+    broker_pids: BTreeMap<BrokerId, ProcessId>,
+    durability: Option<BrokerDurabilitySpec>,
+    log_store: LogStoreHandle,
+    checkpointing: Option<CheckpointSpec>,
+    snapshots: SnapshotStoreHandle,
+    store_groups: BTreeMap<String, Vec<ProcessId>>,
+    mem_model: MemModel,
+    ledger: LedgerHandle,
+    tele: Telemetry,
+    monitor: MonitorHandle,
+    cpus: BTreeMap<String, CpuHandle>,
+    net: NetHandle,
 }
 
-/// Everything needed to (re)build one broker: a `RestartBroker` respawn
-/// reuses the original wiring (pid, memory slot, config) around a fresh
-/// process with a bumped incarnation.
-struct BrokerBuild {
-    host: String,
-    cfg: BrokerConfig,
-    slot: MemSlot,
-    pid: ProcessId,
-    incarnation: u64,
-}
+impl Components {
+    /// Every component present at the start, in spawn (and key) order.
+    fn initial_keys(&self) -> Vec<Key> {
+        let mut keys: Vec<Key> = (0..self.brokers.len() as u32).map(Key::Broker).collect();
+        keys.extend((0..self.stores.len() as u32).map(Key::Store));
+        for (j, meta) in self.jobs.iter().enumerate() {
+            for (s, par) in meta.stage_par.iter().enumerate() {
+                keys.extend((0..*par).map(|i| Key::Instance(j, s, i)));
+            }
+        }
+        keys.extend((0..self.producers.len()).map(Key::Producer));
+        keys.extend((0..self.consumers.len()).map(Key::Consumer));
+        keys
+    }
 
-/// Everything needed to (re)build one store-group replica: a `RestartStore`
-/// respawn reuses the original wiring (pid, memory slot, config, group
-/// membership) around a fresh recovering process.
-struct StoreBuild {
-    /// The declared host (names the group).
-    group_host: String,
-    /// The host this replica runs on (`<host>` or `<host>-r<i>`).
-    replica_host: String,
-    /// Member index within the group.
-    replica: u32,
-    cfg: StoreConfig,
-    /// Every member's pid, in index order.
-    group: Vec<ProcessId>,
-    index: usize,
-    slot: MemSlot,
-    pid: ProcessId,
+    /// Every spawned stage instance of job `j`, retired ones included.
+    fn job_keys(&self, j: usize) -> Vec<Key> {
+        self.entries
+            .range(Key::Instance(j, 0, 0)..Key::Instance(j + 1, 0, 0))
+            .map(|(k, _)| *k)
+            .collect()
+    }
+
+    /// The one fault resolver: a crash/restart action's target, whether it
+    /// crashes, and the name its trace marker carries. `None` when the
+    /// table cannot find the target.
+    fn resolve(&self, action: &FaultAction) -> Option<(Target, bool, String)> {
+        let named = |n: &String| Some((*self.targets.get(n)?, n.clone()));
+        let entry = |key: Key| Some((Target::One(key), self.entries.get(&key)?.name.clone()));
+        let ((target, name), crash) = match action {
+            FaultAction::CrashProcess(n) => (named(n)?, true),
+            FaultAction::RestartProcess(n) => (named(n)?, false),
+            FaultAction::CrashBroker(b) => (entry(Key::Broker(*b))?, true),
+            FaultAction::RestartBroker(b) => (entry(Key::Broker(*b))?, false),
+            FaultAction::CrashStore(r) => (entry(Key::Store(*r))?, true),
+            FaultAction::RestartStore(r) => (entry(Key::Store(*r))?, false),
+            _ => return None,
+        };
+        Some((target, crash, name))
+    }
+
+    /// The one spawn path: registers the memory slot, builds the process
+    /// from its recipe, starts it at `at` on its host's CPU, and places it.
+    fn spawn(&mut self, sim: &mut Sim, key: Key, at: SimTime, incarnation: u64) -> ProcessId {
+        let m = &self.mem_model;
+        let (name, host, mem) = match key {
+            Key::Broker(i) => (
+                format!("broker-{i}"),
+                self.brokers[i as usize].host.clone(),
+                m.broker,
+            ),
+            Key::Store(r) => {
+                let host = self.stores[r as usize].host.clone();
+                (format!("store-{host}"), host, m.store)
+            }
+            Key::Instance(j, s, i) => {
+                let meta = &self.jobs[j];
+                (meta.instance_name(s, i), meta.instance_host(s, i), m.spe)
+            }
+            Key::Producer(i) => {
+                let p = &self.producers[i];
+                let heap = p.cfg.buffer_memory as f64 * m.producer_heap_factor;
+                (
+                    format!("producer-{i}"),
+                    p.host.clone(),
+                    m.producer_base + heap as u64,
+                )
+            }
+            Key::Consumer(i) => (
+                format!("consumer-{i}"),
+                self.consumers[i].host.clone(),
+                m.consumer,
+            ),
+        };
+        let ledger_name = match key {
+            Key::Instance(..) => format!("spe-{name}"),
+            _ => name.clone(),
+        };
+        let slot = self.ledger.borrow_mut().register(ledger_name, mem);
+        let pid = sim.spawn_at(at, self.build(key, &name, slot, incarnation));
+        if let Some(cpu) = self.cpus.get(&host) {
+            sim.attach_cpu(pid, cpu.clone());
+        }
+        place(&self.net, pid, &host);
+        self.entries.insert(
+            key,
+            Component {
+                name,
+                host,
+                pid,
+                slot,
+                incarnation,
+                crashed_at: None,
+                restarted_at: None,
+                corpse: None,
+            },
+        );
+        pid
+    }
+
+    /// The one crash path: kills a live component and keeps its corpse.
+    fn crash(&mut self, sim: &mut Sim, key: Key, at: SimTime) {
+        let Some(c) = self.entries.get_mut(&key) else {
+            return;
+        };
+        if let Some(corpse) = sim.kill(c.pid) {
+            c.crashed_at = Some(at);
+            c.restarted_at = None;
+            c.corpse = Some(corpse);
+        }
+    }
+
+    /// The one restart path: rebuilds a dead component in place (same pid,
+    /// slot and host, bumped incarnation). A live one is left alone. A
+    /// stage instance that was never spawned (a rescale grew its stage)
+    /// starts fresh on its pre-provisioned host and still restores its key
+    /// groups from the old instances' checkpoint chains.
+    fn restart(&mut self, sim: &mut Sim, key: Key, at: SimTime) {
+        let Some(c) = self.entries.get(&key) else {
+            if let Key::Instance(..) = key {
+                self.spawn(sim, key, at, 1);
+            }
+            return;
+        };
+        if sim.is_alive(c.pid) {
+            return;
+        }
+        let (pid, incarnation) = (c.pid, c.incarnation + 1);
+        let p = self.build(key, &c.name, c.slot, incarnation);
+        sim.respawn(pid, p);
+        let c = self.entries.get_mut(&key).expect("looked up above");
+        if let Some(cpu) = self.cpus.get(&c.host) {
+            sim.attach_cpu(pid, cpu.clone());
+        }
+        c.incarnation = incarnation;
+        c.restarted_at = Some(at);
+        c.corpse = None;
+    }
+
+    /// Restarts a whole job. Every stage adopts the rescale target
+    /// parallelism, if one is set, and each respawned instance restores
+    /// from the *previous* layout's chains.
+    fn restart_job(&mut self, sim: &mut Sim, j: usize, at: SimTime) {
+        let meta = &mut self.jobs[j];
+        meta.prev_stage_par = meta.stage_par.clone();
+        if let Some(m) = meta.rescale {
+            meta.stage_par.fill(m);
+        }
+        if meta.stage_par != meta.prev_stage_par {
+            // A rescale redraws every instance's key-group ownership, so
+            // still-running instances of the old layout are bounced too:
+            // left alive they would keep fetching their old partitions,
+            // overlapping the new layout's owners. Those within the new
+            // layout respawn below with the new wiring; those beyond it are
+            // retired.
+            for key in self.job_keys(j) {
+                self.crash(sim, key, at);
+            }
+        }
+        let meta = &self.jobs[j];
+        let keys: Vec<Key> = (0..meta.n_stages)
+            .flat_map(|s| (0..meta.stage_par[s]).map(move |i| Key::Instance(j, s, i)))
+            .collect();
+        for key in keys {
+            self.restart(sim, key, at);
+        }
+        // Later single-instance respawns restore from the new layout.
+        let meta = &mut self.jobs[j];
+        meta.prev_stage_par = meta.stage_par.clone();
+    }
+
+    /// The one live-or-corpse lookup: a crashed-and-not-restarted
+    /// component is absent from the process table, so its report reads the
+    /// corpse.
+    fn process<'a, T: Process>(&'a self, sim: &'a Sim, key: Key) -> Option<&'a T> {
+        let c = self.entries.get(&key)?;
+        sim.process_ref::<T>(c.pid).or_else(|| {
+            let corpse = c.corpse.as_deref()?;
+            (corpse as &dyn std::any::Any).downcast_ref::<T>()
+        })
+    }
+
+    /// Builds one component from its kind's recipe: incarnation 0 is the
+    /// initial spawn, anything later a recovering respawn.
+    fn build(&self, key: Key, name: &str, slot: MemSlot, incarnation: u64) -> Box<dyn Process> {
+        let recover = incarnation > 0;
+        match key {
+            Key::Broker(i) => {
+                let mut b = Broker::new(
+                    BrokerId(i),
+                    self.brokers[i as usize].cfg.clone(),
+                    self.mode,
+                    self.controller_pids.clone(),
+                    self.broker_pids.clone(),
+                );
+                b.set_mem_slot(self.ledger.clone(), slot);
+                b.set_incarnation(incarnation);
+                b.set_telemetry(self.tele.clone());
+                match &self.durability {
+                    Some(BrokerDurabilitySpec::InMemory) => b.set_durability(
+                        Box::new(InMemoryLogBackend::new(self.log_store.clone())),
+                        recover,
+                    ),
+                    Some(BrokerDurabilitySpec::StoreOn { host }) => b.set_durability(
+                        Box::new(DurableLogBackend::replicated(
+                            self.store_groups
+                                .get(host)
+                                .expect("validated broker-log store")
+                                .clone(),
+                            incarnation,
+                        )),
+                        recover,
+                    ),
+                    // Without a log backend the broker restarts empty (the
+                    // data-loss contrast); still record metrics.
+                    None if recover => b.mark_restarted(),
+                    None => {}
+                }
+                Box::new(b)
+            }
+            Key::Store(r) => {
+                let replica = &self.stores[r as usize];
+                let mut st = StoreServer::new(replica.cfg.clone());
+                st.set_name(name);
+                st.set_mem_slot(self.ledger.clone(), slot);
+                st.set_telemetry(self.tele.clone());
+                if replica.group.len() > 1 {
+                    // A recovering member pulls the op log from a ready
+                    // peer before serving again.
+                    st.set_group(replica.group.clone(), replica.index, recover);
+                }
+                Box::new(st)
+            }
+            Key::Instance(j, s, i) => Box::new(self.build_worker(j, s, i, name, slot, incarnation)),
+            Key::Producer(i) => {
+                let stub = &self.producers[i];
+                let mut client = ProducerClient::new(
+                    ProducerId(i as u32),
+                    stub.cfg.clone(),
+                    stub.bootstrap,
+                    self.broker_pids.clone(),
+                    0,
+                );
+                client.set_mem_slot(self.ledger.clone(), slot);
+                let mut p = ProducerProcess::new(client, stub.source.build());
+                p.set_telemetry(self.tele.clone());
+                Box::new(p)
+            }
+            Key::Consumer(i) => {
+                let stub = &self.consumers[i];
+                let sink = MonitoredSink::new(self.monitor.clone(), i as u32, stub.sink.build());
+                let client = ConsumerClient::new(
+                    stub.cfg.clone(),
+                    stub.bootstrap,
+                    self.broker_pids.clone(),
+                    stub.topics.clone(),
+                );
+                let mut p = ConsumerProcess::new(i as u32, client, Box::new(sink));
+                p.set_telemetry(self.tele.clone());
+                Box::new(p)
+            }
+        }
+    }
+
+    /// Builds one stage instance around a fresh plan. A recovering
+    /// instance restores from every old instance of its stage (under the
+    /// pre-restart parallelism) and keeps only the key groups it owns now —
+    /// the rescale-correct redistribution.
+    fn build_worker(
+        &self,
+        j: usize,
+        stage: usize,
+        index: usize,
+        name: &str,
+        slot: MemSlot,
+        incarnation: u64,
+    ) -> SpeWorker {
+        let meta = &self.jobs[j];
+        let recover = incarnation > 0;
+        let full = (meta.plan)();
+        let plan = if meta.parallel {
+            full.into_stages()
+                .into_iter()
+                .nth(stage)
+                .expect("stage index within the probed stage count")
+        } else {
+            full
+        };
+        let mut w = SpeWorker::new(
+            name.to_string(),
+            meta.cfg.clone(),
+            meta.stage_sources(stage),
+            plan,
+            meta.stage_sink(stage),
+            meta.bootstrap,
+            self.broker_pids.clone(),
+            meta.producer_id(stage, index),
+        );
+        w.set_mem_slot(self.ledger.clone(), slot);
+        if meta.parallel {
+            let old_par = meta.prev_stage_par[stage];
+            let restore_from: Vec<String> = if recover {
+                (0..old_par)
+                    .map(|k| instance_name(&meta.name, stage, k))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let old_producers: Vec<ProducerId> =
+                (0..old_par).map(|k| meta.producer_id(stage, k)).collect();
+            w.set_instance(StageInstanceCfg {
+                stage,
+                instance: index as u32,
+                parallelism: meta.stage_par[stage] as u32,
+                key_groups: meta.key_groups,
+                restore_from,
+                old_producers,
+            });
+        }
+        if meta.cfg.checkpoint.is_some() {
+            let backend: Box<dyn StateBackend> =
+                match self.checkpointing.as_ref().map(|s| &s.backend) {
+                    Some(CheckpointBackendSpec::StoreOn { host }) => {
+                        Box::new(DurableBackend::replicated(
+                            self.store_groups
+                                .get(host)
+                                .expect("validated checkpoint store host")
+                                .clone(),
+                        ))
+                    }
+                    _ => Box::new(InMemoryBackend::new(self.snapshots.clone())),
+                };
+            w.attach_checkpointing(backend, recover);
+        }
+        // After the checkpointing attach so the coordinator is covered too.
+        w.set_telemetry(self.tele.clone());
+        if recover {
+            w.mark_restarted();
+            w.set_producer_epoch(incarnation as u32);
+        }
+        w
+    }
 }
 
 /// The per-job half of the SPE build state: everything shared by (and
@@ -2619,93 +2544,6 @@ impl SpeJobMeta {
     }
 }
 
-/// Everything needed to (re)build one worker instance: the initial spawn
-/// and any `RestartProcess` respawn share this recipe, so a restarted
-/// instance gets the same wiring (pid, memory slot, clients) around a fresh
-/// plan.
-struct SpeInstanceBuild {
-    stage: usize,
-    index: usize,
-    name: String,
-    host: String,
-    slot: MemSlot,
-    pid: ProcessId,
-    incarnation: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_instance_worker(
-    meta: &SpeJobMeta,
-    inst: &SpeInstanceBuild,
-    brokers: &BTreeMap<BrokerId, ProcessId>,
-    ledger: &LedgerHandle,
-    spec: &Option<CheckpointSpec>,
-    snapshots: &SnapshotStoreHandle,
-    store_groups: &BTreeMap<String, Vec<ProcessId>>,
-    tele: &Telemetry,
-    recover: bool,
-) -> SpeWorker {
-    let full = (meta.plan)();
-    let plan = if meta.parallel {
-        full.into_stages()
-            .into_iter()
-            .nth(inst.stage)
-            .expect("stage index within the probed stage count")
-    } else {
-        full
-    };
-    let mut w = SpeWorker::new(
-        inst.name.clone(),
-        meta.cfg.clone(),
-        meta.stage_sources(inst.stage),
-        plan,
-        meta.stage_sink(inst.stage),
-        meta.bootstrap,
-        brokers.clone(),
-        meta.producer_id(inst.stage, inst.index),
-    );
-    w.set_mem_slot(ledger.clone(), inst.slot);
-    if meta.parallel {
-        // A recovering instance restores from every old instance of its
-        // stage (under the pre-restart parallelism) and keeps only the key
-        // groups it owns now — the rescale-correct redistribution.
-        let old_par = meta.prev_stage_par[inst.stage];
-        let restore_from: Vec<String> = if recover {
-            (0..old_par)
-                .map(|k| instance_name(&meta.name, inst.stage, k))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let old_producers: Vec<ProducerId> = (0..old_par)
-            .map(|k| meta.producer_id(inst.stage, k))
-            .collect();
-        w.set_instance(StageInstanceCfg {
-            stage: inst.stage,
-            instance: inst.index as u32,
-            parallelism: meta.stage_par[inst.stage] as u32,
-            key_groups: meta.key_groups,
-            restore_from,
-            old_producers,
-        });
-    }
-    if meta.cfg.checkpoint.is_some() {
-        let backend: Box<dyn StateBackend> = match spec.as_ref().map(|s| &s.backend) {
-            Some(CheckpointBackendSpec::StoreOn { host }) => Box::new(DurableBackend::replicated(
-                store_groups
-                    .get(host)
-                    .expect("validated checkpoint store host")
-                    .clone(),
-            )),
-            _ => Box::new(InMemoryBackend::new(snapshots.clone())),
-        };
-        w.attach_checkpointing(backend, recover);
-    }
-    // After the checkpointing attach so the coordinator is covered too.
-    w.set_telemetry(tele.clone());
-    w
-}
-
 /// Folds a parallel job's per-instance reports into one job-level report:
 /// input records are counted at stage 0, output records at the last stage,
 /// batch metrics interleave in time order, checkpoint/consumer counters
@@ -2772,53 +2610,6 @@ fn aggregate_spe_reports(meta: &SpeJobMeta, per: &[(usize, SpeReport)]) -> SpeRe
         checkpoint_log,
         consumer_stats,
         recovery,
-    }
-}
-
-/// What an SPE crash/restart fault resolves to.
-enum SpeFaultTarget {
-    /// The whole job (every instance of every stage).
-    Job(usize),
-    /// One stage instance: `(job index, stage, instance)`.
-    Instance(usize, usize, usize),
-}
-
-/// Resolves a fault-plan target name against the built jobs: the exact job
-/// name, `job/stage/instance`, or the `job/instance` last-stage shorthand.
-fn resolve_spe_target(job_metas: &[SpeJobMeta], name: &str) -> Option<SpeFaultTarget> {
-    if let Some(j) = job_metas.iter().position(|m| m.name == name) {
-        return Some(SpeFaultTarget::Job(j));
-    }
-    for (j, m) in job_metas.iter().enumerate() {
-        if !m.parallel {
-            continue;
-        }
-        let Some(rest) = name
-            .strip_prefix(m.name.as_str())
-            .and_then(|r| r.strip_prefix('/'))
-        else {
-            continue;
-        };
-        if let Some((s, i)) = parse_instance_suffix(rest, m.n_stages - 1) {
-            return Some(SpeFaultTarget::Instance(j, s, i));
-        }
-    }
-    None
-}
-
-/// Parses the `stage/instance` (or bare `instance`, meaning the last —
-/// keyed — stage) suffix of a `job/...` fault target. Bounds are the
-/// caller's concern: `validate` checks them against the stage layout, the
-/// fault executor relies on its build-map lookups.
-fn parse_instance_suffix(rest: &str, last_stage: usize) -> Option<(usize, usize)> {
-    let parts: Vec<&str> = rest.split('/').collect();
-    match parts.as_slice() {
-        [i] => i.parse().ok().map(|i| (last_stage, i)),
-        [s, i] => match (s.parse(), i.parse()) {
-            (Ok(s), Ok(i)) => Some((s, i)),
-            _ => None,
-        },
-        _ => None,
     }
 }
 

@@ -722,6 +722,36 @@ fn run_deny_gate_can_be_overridden() {
 }
 
 #[test]
+fn overridden_out_of_range_broker_fault_is_skipped() {
+    let mut sc = base("t");
+    add_producer(&mut sc);
+    sc.faults(FaultPlan::new().crash_restart_broker(
+        7,
+        SimTime::from_secs(2),
+        SimDuration::from_secs(1),
+    ));
+    assert!(sc.analyze().has_deny());
+    sc.allow_deny_diagnostics();
+    let result = sc.run().expect("an unknown broker target is skipped");
+    assert!(result.report.brokers[0].recovery.is_none());
+}
+
+#[test]
+fn overridden_unknown_process_fault_is_skipped() {
+    let mut sc = base("t");
+    add_producer(&mut sc);
+    sc.faults(FaultPlan::new().crash_restart(
+        "nosuch",
+        SimTime::from_secs(2),
+        SimDuration::from_secs(1),
+    ));
+    assert!(sc.analyze().has_deny());
+    sc.allow_deny_diagnostics();
+    let result = sc.run().expect("an unknown process target is skipped");
+    assert!(result.report.producers[0].recovery.is_none());
+}
+
+#[test]
 fn analyze_is_pure_and_repeatable() {
     let mut sc = base("t");
     add_producer(&mut sc);

@@ -483,3 +483,119 @@ fn telemetry_runs_reproduce_exactly() {
         "toggling the tracer must not change the run"
     );
 }
+
+/// FNV-1a over a byte string: a stable, dependency-free digest for pinning
+/// a run's observable surface to a constant.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Cross-commit determinism: one scenario crashes and restarts a component
+/// of every kind the orchestrator handles — a whole parallel job (with a
+/// rescale on restart), one stage instance, a broker, a store replica, a
+/// producer stub and a consumer stub — and pins the digest of the full run
+/// report plus every delivery record to a constant. The other tests here
+/// compare two runs of the same build; this one also fails when a change
+/// to the code reorders events. Update the constant only for a change
+/// that is meant to alter what a seeded run does.
+#[test]
+fn every_component_kind_lifecycle_digest_is_pinned() {
+    use stream2gym::apps::word_count::{running_count_plan, word_stream};
+    use stream2gym::broker::TopicSpec;
+    use stream2gym::core::{Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
+    use stream2gym::net::LinkSpec;
+    use stream2gym::spe::SpeConfig;
+    use stream2gym::store::StoreConfig;
+
+    let seed = 37;
+    let mut sc = Scenario::new("every-kind-lifecycle");
+    sc.seed(seed)
+        .duration(SimTime::from_secs(24))
+        .default_link(LinkSpec::new().latency(SimDuration::from_millis(2)))
+        .topic(TopicSpec::new("words").partitions(8))
+        .topic(TopicSpec::new("counts"));
+    sc.broker("h2");
+    sc.producer(
+        "h1",
+        SourceSpec::Items {
+            topic: "words".into(),
+            items: word_stream(150, seed),
+            interval: SimDuration::from_millis(40),
+        },
+        Default::default(),
+    );
+    let cfg = SpeConfig {
+        batch_interval: SimDuration::from_millis(250),
+        scheduling_overhead: SimDuration::from_millis(20),
+        startup_cpu: SimDuration::from_millis(200),
+        ..SpeConfig::default()
+    };
+    sc.spe_job(
+        "h3",
+        SpeJobSpec::new(
+            "wordcount",
+            vec!["words".into()],
+            running_count_plan,
+            SpeSinkSpec::Topic("counts".into()),
+            cfg,
+        )
+        .parallelism(2)
+        .rescale_on_restart(3),
+    );
+    sc.consumer("h5", Default::default(), &["counts"]);
+    sc.store("h6", StoreConfig::default());
+    sc.with_replicated_store(3);
+    sc.with_durable_checkpointing(
+        CheckpointCfg::exactly_once(SimDuration::from_millis(500)),
+        "h6",
+    );
+    sc.with_recoverable_broker();
+    sc.faults(
+        FaultPlan::new()
+            .crash_restart(
+                "producer-0",
+                SimTime::from_millis(1_900),
+                SimDuration::from_millis(700),
+            )
+            .crash_restart(
+                "wordcount/1/0",
+                SimTime::from_millis(3_300),
+                SimDuration::from_millis(800),
+            )
+            .crash_restart_store(1, SimTime::from_millis(5_100), SimDuration::from_secs(2))
+            .crash_restart_broker(
+                0,
+                SimTime::from_millis(8_200),
+                SimDuration::from_millis(1_200),
+            )
+            .crash_restart(
+                "consumer-0",
+                SimTime::from_millis(11_700),
+                SimDuration::from_secs(1),
+            )
+            .crash_restart(
+                "wordcount",
+                SimTime::from_millis(14_300),
+                SimDuration::from_secs(1),
+            ),
+    );
+    let result = sc.run().expect("runs");
+    let report = &result.report;
+    // The gate only bites if every kind really went down and came back.
+    assert!(report.producers[0].recovery.is_some());
+    assert!(report.consumers[0].recovery.is_some());
+    assert!(report.brokers[0].recovery.is_some());
+    assert!(report.stores[1].recovery.is_some());
+    assert!(report.spe_instances.contains_key("wordcount/1/2"));
+    let text = format!("{:?}|{:?}", report, result.monitor.borrow().deliveries);
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0x858d_4bdf_12f4_c46d,
+        "the every-kind crash/restart run drifted from its pinned digest"
+    );
+}
