@@ -168,7 +168,10 @@ pub struct ProducerConfig {
     /// Total time a record may spend retrying before being reported lost
     /// (Kafka `delivery.timeout.ms`, default 120 s).
     pub delivery_timeout: SimDuration,
-    /// Backoff between retries.
+    /// Backoff between retries (Kafka `retry.backoff.ms`). It gates two
+    /// things: a failed batch is not resent until this long after the
+    /// failure, and metadata refreshes go out at most once per backoff (an
+    /// earlier request is deferred, not sent). `0` disables both gates.
     pub retry_backoff: SimDuration,
     /// Acknowledgement mode.
     pub acks: AckMode,

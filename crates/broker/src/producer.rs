@@ -12,6 +12,10 @@
 //!   expires, which is why the disconnected producer's topic-B messages
 //!   arrive with up-to-partition-length latency in Fig. 6c rather than
 //!   being lost;
+//! * `retry.backoff.ms` — a failed batch waits out the backoff before it is
+//!   resent, and metadata refreshes go out at most once per backoff, so a
+//!   leader that rejects at once (a fenced minority under a partition)
+//!   costs one round trip per backoff instead of a retry storm;
 //! * per-partition in-flight slots — a blocked partition does not
 //!   head-of-line-block the other topic.
 
@@ -41,6 +45,7 @@ mod off {
     pub const META_TIMEOUT: u64 = 2;
     pub const NOOP_CPU: u64 = 3;
     pub const TXN_RETRY: u64 = 4;
+    pub const META_REFRESH: u64 = 5;
     pub const LINGER_BASE: u64 = 1_000;
     pub const REQ_TIMEOUT_BASE: u64 = 1_000_000;
 }
@@ -119,7 +124,8 @@ struct ReadyBatch {
     /// Uncompressed record bytes, for buffer-pool accounting.
     bytes: usize,
     created: SimTime,
-    attempts: u32,
+    /// Earliest resend time: `retry_backoff` after the last failed attempt.
+    not_before: SimTime,
     /// The open transaction the batch belongs to, captured at flush time.
     txn: Option<u64>,
 }
@@ -164,6 +170,11 @@ pub struct ProducerClient {
     metadata: MetadataCache,
     meta_versions: u64,
     meta_inflight: Option<(CorrelationId, TimerToken)>,
+    /// When the last metadata request went out; the next one waits until
+    /// `retry_backoff` after it.
+    meta_sent_at: Option<SimTime>,
+    /// A deferred metadata refresh is armed (`META_REFRESH` timer).
+    meta_refresh_armed: bool,
     next_seq: u64,
     next_corr: u64,
     corr_step: u64,
@@ -217,6 +228,8 @@ impl ProducerClient {
             metadata: MetadataCache::new(),
             meta_versions: 0,
             meta_inflight: None,
+            meta_sent_at: None,
+            meta_refresh_armed: false,
             next_seq: 0,
             next_corr: corr_parity,
             corr_step: 2,
@@ -465,10 +478,24 @@ impl ProducerClient {
         }
     }
 
+    /// Sends a metadata request unless one is in flight. Requests go out at
+    /// most once per `retry_backoff` (Kafka's `retry.backoff.ms` also backs
+    /// off metadata refreshes); an early one arms a single deferred refresh
+    /// instead of sending.
     fn request_metadata(&mut self, ctx: &mut Ctx<'_>) {
-        if self.meta_inflight.is_some() {
+        if self.meta_inflight.is_some() || self.meta_refresh_armed {
             return;
         }
+        let now = ctx.now();
+        let due = self
+            .meta_sent_at
+            .map_or(now, |t| t + self.cfg.retry_backoff);
+        if due > now {
+            self.meta_refresh_armed = true;
+            ctx.set_timer(due - now, PRODUCER_TAGS + off::META_REFRESH);
+            return;
+        }
+        self.meta_sent_at = Some(now);
         let corr = self.next_corr();
         let timer = ctx.set_timer(self.cfg.request_timeout, PRODUCER_TAGS + off::META_TIMEOUT);
         self.meta_inflight = Some((corr, timer));
@@ -619,18 +646,25 @@ impl ProducerClient {
                     batch: sealed,
                     bytes,
                     created,
-                    attempts: 0,
+                    not_before: SimTime::ZERO,
                     txn: self.txn,
                 });
         }
         self.pump(ctx);
     }
 
+    /// Sends the head batch of every partition with no request in flight.
+    /// A partition whose head batch is still backing off is skipped; the
+    /// `RETRY_PUMP` timer armed by `retry_or_fail` wakes it. Gating on the
+    /// head keeps per-partition order and the idempotent sequence intact.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
         let tps: Vec<TopicPartition> = self
             .ready
             .iter()
-            .filter(|(tp, q)| !q.is_empty() && !self.inflight.contains_key(*tp))
+            .filter(|(tp, q)| {
+                q.front().is_some_and(|b| b.not_before <= now) && !self.inflight.contains_key(*tp)
+            })
             .map(|(tp, _)| tp.clone())
             .collect();
         let mut need_meta = false;
@@ -646,11 +680,10 @@ impl ProducerClient {
                 need_meta = true;
                 continue;
             };
-            let mut batch = match self.ready.get_mut(&tp).and_then(VecDeque::pop_front) {
+            let batch = match self.ready.get_mut(&tp).and_then(VecDeque::pop_front) {
                 Some(b) => b,
                 None => continue,
             };
-            batch.attempts += 1;
             let corr = self.next_corr();
             let timer = ctx.set_timer(
                 self.cfg.request_timeout,
@@ -725,13 +758,14 @@ impl ProducerClient {
         }
     }
 
-    fn retry_or_fail(&mut self, ctx: &mut Ctx<'_>, batch: ReadyBatch) {
+    fn retry_or_fail(&mut self, ctx: &mut Ctx<'_>, mut batch: ReadyBatch) {
         let now = ctx.now();
         if now.saturating_since(batch.created) > self.cfg.delivery_timeout {
             self.complete_batch(now, batch, false);
             return;
         }
         self.stats.retries += 1;
+        batch.not_before = now + self.cfg.retry_backoff;
         self.ready
             .entry(batch.tp.clone())
             .or_default()
@@ -813,6 +847,9 @@ impl ProducerClient {
             self.pump(ctx);
         } else if o == off::TXN_RETRY {
             self.retry_txn_ctl(ctx);
+        } else if o == off::META_REFRESH {
+            self.meta_refresh_armed = false;
+            self.request_metadata(ctx);
         } else if o == off::META_TIMEOUT {
             // Metadata request lost — the bootstrap may be down (broker
             // crash). Rotate to the next broker endpoint and retry; a

@@ -165,11 +165,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash. Both
+                // are ASCII, so they never split a multi-byte UTF-8 scalar
+                // and the run is valid UTF-8 whenever the input is.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|c| matches!(c, b'"' | b'\\'))
+                    .map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -337,6 +341,25 @@ mod tests {
             .unwrap_err()
             .contains("dur"));
         assert!(validate_chrome_trace("[]").is_err());
+    }
+
+    #[test]
+    fn long_escaped_multibyte_string_round_trips() {
+        // ~150 KB mixing multi-byte UTF-8 with quote, backslash and \u
+        // escapes — long enough that re-validating the rest of the input
+        // per character would stall — parses exactly.
+        let unit = r#"héllo \"wörld\" \\ 日本 🚀 \u00e9\u65e5 "#;
+        let expected_unit = "héllo \"wörld\" \\ 日本 🚀 é日 ";
+        let n = 150_000 / unit.len() + 1;
+        let doc = format!("\"{}\"", unit.repeat(n));
+        assert!(doc.len() >= 100_000);
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.as_str(), Some(expected_unit.repeat(n).as_str()));
+        // Dropping the closing quote must still be an error.
+        assert_eq!(
+            parse(&doc[..doc.len() - 1]).unwrap_err(),
+            "unterminated string"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use s2g_bench::{fig6_run, Scale};
 use stream2gym::apps::word_count::{self, recovery_scenario, ComponentDelays};
-use stream2gym::broker::CoordinationMode;
+use stream2gym::broker::{CoordinationMode, ProducerConfig};
 use stream2gym::net::FaultPlan;
 use stream2gym::sim::{SimDuration, SimTime};
 use stream2gym::spe::{CheckpointCfg, CheckpointMode};
@@ -498,13 +498,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Cross-commit determinism: one scenario crashes and restarts a component
 /// of every kind the orchestrator handles — a whole parallel job (with a
 /// rescale on restart), one stage instance, a broker, a store replica, a
-/// producer stub and a consumer stub — and pins the digest of the full run
-/// report plus every delivery record to a constant. The other tests here
-/// compare two runs of the same build; this one also fails when a change
-/// to the code reorders events. Update the constant only for a change
-/// that is meant to alter what a seeded run does.
-#[test]
-fn every_component_kind_lifecycle_digest_is_pinned() {
+/// producer stub and a consumer stub — and returns the digest of the full
+/// run report plus every delivery record. `producer` configures both the
+/// source stub and the job's sink producer. The other tests here compare
+/// two runs of the same build; the pinned digests below also fail when a
+/// change to the code reorders events.
+fn every_component_kind_lifecycle_digest(producer: ProducerConfig) -> u64 {
     use stream2gym::apps::word_count::{running_count_plan, word_stream};
     use stream2gym::broker::TopicSpec;
     use stream2gym::core::{Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
@@ -527,12 +526,13 @@ fn every_component_kind_lifecycle_digest_is_pinned() {
             items: word_stream(150, seed),
             interval: SimDuration::from_millis(40),
         },
-        Default::default(),
+        producer.clone(),
     );
     let cfg = SpeConfig {
         batch_interval: SimDuration::from_millis(250),
         scheduling_overhead: SimDuration::from_millis(20),
         startup_cpu: SimDuration::from_millis(200),
+        producer,
         ..SpeConfig::default()
     };
     sc.spe_job(
@@ -593,9 +593,34 @@ fn every_component_kind_lifecycle_digest_is_pinned() {
     assert!(report.stores[1].recovery.is_some());
     assert!(report.spe_instances.contains_key("wordcount/1/2"));
     let text = format!("{:?}|{:?}", report, result.monitor.borrow().deliveries);
+    fnv1a(text.as_bytes())
+}
+
+/// The every-kind run with default client configs, pinned to a constant.
+/// Update the constant only for a change that is meant to alter what a
+/// seeded run does.
+#[test]
+fn every_component_kind_lifecycle_digest_is_pinned() {
     assert_eq!(
-        fnv1a(text.as_bytes()),
-        0x858d_4bdf_12f4_c46d,
+        every_component_kind_lifecycle_digest(ProducerConfig::default()),
+        0x3d00_6c33_0d39_727d,
         "the every-kind crash/restart run drifted from its pinned digest"
+    );
+}
+
+/// The every-kind run with `retry_backoff = 0`, where the producer's
+/// resend and metadata-refresh gates must do nothing. Its digest was
+/// captured before the gates existed, so it pins that a zero backoff
+/// reproduces the ungated client's event order exactly.
+#[test]
+fn zero_retry_backoff_lifecycle_digest_matches_ungated_client() {
+    let producer = ProducerConfig {
+        retry_backoff: SimDuration::ZERO,
+        ..ProducerConfig::default()
+    };
+    assert_eq!(
+        every_component_kind_lifecycle_digest(producer),
+        0x9b36_d915_5a6b_4341,
+        "a zero retry backoff must reproduce the ungated producer's run"
     );
 }

@@ -154,3 +154,88 @@ fn cpu_percentage_cap_slows_processing() {
         "a 25% CPU share must slow batches: {full} vs {capped}"
     );
 }
+
+/// A partition under KRaft with `acks=all` must not turn into a retry
+/// storm. The cut-off site's leader is fenced and rejects every produce at
+/// once; without a backoff each rejection is resent immediately (about a
+/// hundred retries per acked record). With `retry_backoff` honoured, a
+/// partition retries at most once per backoff while the cut lasts, and no
+/// acked record is lost.
+#[test]
+fn partition_retries_are_paced_by_retry_backoff() {
+    use std::collections::HashSet;
+    use stream2gym::broker::{CoordinationMode, ProducerConfig};
+    use stream2gym::proto::AckMode;
+
+    let sites = 3;
+    let topics = ["topic-a", "topic-b"];
+    let cut_for = SimDuration::from_secs(25);
+    let cfg = ProducerConfig {
+        acks: AckMode::All,
+        ..ProducerConfig::default()
+    };
+    let mut sc = Scenario::new("partition-retry-discipline");
+    sc.seed(1)
+        .duration(SimTime::from_secs(100))
+        .coordination(CoordinationMode::Kraft)
+        .default_link(LinkSpec::new().latency_ms(2))
+        .topic(TopicSpec::new(topics[0]).replication(3).primary(0))
+        .topic(TopicSpec::new(topics[1]).replication(3).primary(1));
+    for i in 0..sites {
+        let host = format!("h{}", i + 1);
+        sc.broker(&host);
+        sc.producer(
+            &host,
+            SourceSpec::RandomTopics {
+                topics: topics.iter().map(|t| t.to_string()).collect(),
+                kbps: 30,
+                payload: 500,
+                until: SimTime::from_secs(60),
+            },
+            cfg.clone(),
+        );
+        sc.consumer(&host, Default::default(), &topics);
+    }
+    sc.faults(FaultPlan::new().transient_disconnect("h1", SimTime::from_secs(35), cut_for));
+    let result = sc.run().expect("runs");
+    let report = &result.report;
+
+    // One batch in flight per partition, each retried at most once per
+    // backoff for as long as the cut lasts.
+    let per_partition = cut_for.as_nanos() / cfg.retry_backoff.as_nanos() + 1;
+    let bound = topics.len() as u64 * per_partition;
+    let mut total_acked = 0;
+    for p in &report.producers {
+        let stats = p.stats;
+        assert!(
+            stats.retries <= bound,
+            "producer {:?} retried {} times, over the backoff bound {bound}",
+            p.id,
+            stats.retries
+        );
+        total_acked += stats.acked;
+    }
+    assert!(total_acked > 0);
+
+    // acks=all under KRaft: every acked record reaches every remote site.
+    let monitor = result.monitor.borrow();
+    let delivered: HashSet<(u32, u32, &str, u64)> = monitor
+        .deliveries
+        .iter()
+        .map(|d| (d.consumer, d.producer.0, &*d.topic, d.seq))
+        .collect();
+    for (site, p) in report.producers.iter().enumerate() {
+        for o in p.outcomes.iter().filter(|o| o.delivered) {
+            for c in report.consumers.iter().filter(|c| c.id as usize != site) {
+                assert!(
+                    delivered.contains(&(c.id, p.id.0, o.topic.as_str(), o.seq)),
+                    "acked record {:?}/{}/{} missing at consumer {}",
+                    p.id,
+                    o.topic,
+                    o.seq,
+                    c.id
+                );
+            }
+        }
+    }
+}
