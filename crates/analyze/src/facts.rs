@@ -164,11 +164,14 @@ pub struct ScenarioFacts {
     /// Every process name a fault may legally target (job names, stage
     /// instances, stubs) — the typo-suggestion corpus.
     pub valid_process_targets: Vec<String>,
-    /// Hosts of the explicit topology, when one was set (`None` means the
-    /// star topology is generated and always fits).
-    pub topology_hosts: Option<Vec<String>>,
     /// Hosts every component and controller needs to exist.
     pub required_hosts: Vec<String>,
+    /// Every node (hosts and switches) of the network `run` builds: the
+    /// explicit topology's, or a generated star that always holds
+    /// `required_hosts`.
+    pub network_nodes: Vec<String>,
+    /// Nodes named by `watch_throughput`.
+    pub watched_nodes: Vec<String>,
     /// Scenario-level checkpoint interval, when checkpointing is on.
     pub checkpoint_interval: Option<SimDuration>,
     /// Store host backing scenario checkpoints, when store-backed.

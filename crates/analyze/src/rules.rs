@@ -41,6 +41,7 @@ pub fn analyze(facts: &ScenarioFacts) -> AnalysisReport {
     rule_replica_lag(facts, &mut out);
     rule_store_crash_durability(facts, &mut out);
     rule_restart_without_crash(facts, &mut out);
+    rule_watched_nodes(facts, &mut out);
     AnalysisReport::new(out)
 }
 
@@ -147,12 +148,9 @@ fn rule_duplicate_jobs(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
 
 /// S2G005 (deny): the explicit topology is missing a required host.
 fn rule_topology_hosts(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
-    let Some(topo) = &f.topology_hosts else {
-        return;
-    };
     for h in &f.required_hosts {
-        if !topo.contains(h) {
-            let hint = nearest(h, topo.iter().map(String::as_str))
+        if !f.network_nodes.contains(h) {
+            let hint = nearest(h, f.network_nodes.iter().map(String::as_str))
                 .map(|n| format!("nearest declared host is `{n}`; "))
                 .unwrap_or_default();
             out.push(Diagnostic::new(
@@ -766,6 +764,24 @@ fn rule_restart_without_crash(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
                 }
             }
             FaultKind::Other => {}
+        }
+    }
+}
+
+/// S2G026 (deny): `watch_throughput` names a node the network lacks.
+fn rule_watched_nodes(f: &ScenarioFacts, out: &mut Vec<Diagnostic>) {
+    for n in &f.watched_nodes {
+        if !f.network_nodes.contains(n) {
+            let hint = nearest(n, f.network_nodes.iter().map(String::as_str))
+                .map(|t| format!("did you mean `{t}`? "))
+                .unwrap_or_default();
+            out.push(Diagnostic::new(
+                "S2G026",
+                Level::Deny,
+                format!("`watch_throughput` names node `{n}`, which is not in the network"),
+                &["watch_throughput"],
+                format!("{hint}watch a host or switch of the topology"),
+            ));
         }
     }
 }

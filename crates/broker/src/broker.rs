@@ -1866,12 +1866,6 @@ impl Broker {
             d.dirty = true;
         }
         self.flush_logs(ctx);
-        ctx.trace_with("broker", || {
-            format!(
-                "{} cleaned {} records ({} B) from its logs",
-                self.name, total.removed_records, total.reclaimed_bytes
-            )
-        });
     }
 
     fn arm_retry(&mut self, ctx: &mut Ctx<'_>) {
@@ -2120,9 +2114,6 @@ impl Broker {
         }
         self.tele
             .trace_end(ctx.now(), &self.name, "recovery:replay", "recovery");
-        ctx.trace_with("broker", || {
-            format!("{} replayed its durable log", self.name)
-        });
     }
 
     fn handle_store(&mut self, ctx: &mut Ctx<'_>, rpc: StoreRpc) {
@@ -2287,9 +2278,6 @@ impl Broker {
                             }
                             self.mirrored_seqs.retain(|(t, _), _| *t != tp);
                             self.leadership_events.push((now, tp.clone(), true));
-                            ctx.trace_with("broker", || {
-                                format!("{} became leader of {tp}", self.name)
-                            });
                             // A recovered log may carry a watermark below its
                             // end; as fresh leader, re-evaluate immediately.
                             self.advance_hw(ctx, &tp);
@@ -2300,9 +2288,6 @@ impl Broker {
                     if was_leader {
                         self.fail_pending(ctx, &tp, ErrorCode::NotLeader);
                         self.leadership_events.push((now, tp.clone(), false));
-                        ctx.trace_with("broker", || {
-                            format!("{} stepped down from {tp}", self.name)
-                        });
                     }
                     self.roles.insert(
                         tp.clone(),

@@ -333,8 +333,6 @@ pub struct ZkController {
     /// its roles.
     incarnations: BTreeMap<BrokerId, u64>,
     metadata_version: u64,
-    /// Controller decision log for assertions: (time, record).
-    decisions: Vec<(SimTime, MetadataRecord)>,
     initial_plan: Vec<PartitionMetadata>,
 }
 
@@ -375,7 +373,6 @@ impl ZkController {
             sessions: BTreeMap::new(),
             incarnations: BTreeMap::new(),
             metadata_version: 0,
-            decisions: Vec::new(),
             initial_plan: plan,
         }
     }
@@ -385,20 +382,12 @@ impl ZkController {
         &self.state
     }
 
-    /// Committed decisions, in order.
-    pub fn decisions(&self) -> &[(SimTime, MetadataRecord)] {
-        &self.decisions
-    }
-
     fn commit(&mut self, ctx: &mut Ctx<'_>, records: Vec<MetadataRecord>) {
         if records.is_empty() {
             return;
         }
-        let now = ctx.now();
         for r in &records {
             self.state.apply(r);
-            self.decisions.push((now, r.clone()));
-            ctx.trace_with("controller", || format!("{r:?}"));
         }
         // Push LeaderAndIsr to affected replica holders.
         for (b, rpc) in self.state.leader_and_isr_for(&records) {
@@ -551,7 +540,6 @@ impl std::fmt::Debug for ZkController {
         f.debug_struct("ZkController")
             .field("brokers", &self.brokers.len())
             .field("metadata_version", &self.metadata_version)
-            .field("decisions", &self.decisions.len())
             .finish()
     }
 }

@@ -79,7 +79,6 @@ pub struct KraftController {
     /// expired.
     incarnations: BTreeMap<BrokerId, u64>,
     metadata_version: u64,
-    decisions: Vec<(SimTime, MetadataRecord)>,
     bootstrapped: bool,
     name: String,
 }
@@ -135,7 +134,6 @@ impl KraftController {
             sessions: BTreeMap::new(),
             incarnations: BTreeMap::new(),
             metadata_version: 0,
-            decisions: Vec::new(),
             bootstrapped: false,
             name,
         }
@@ -160,11 +158,6 @@ impl KraftController {
     /// The applied cluster state.
     pub fn state(&self) -> &ClusterState {
         &self.state
-    }
-
-    /// Applied decisions with timestamps.
-    pub fn decisions(&self) -> &[(SimTime, MetadataRecord)] {
-        &self.decisions
     }
 
     /// The replicated log (term, record) — for consistency assertions.
@@ -229,12 +222,6 @@ impl KraftController {
             next_index,
             match_index,
         };
-        ctx.trace_with("kraft", || {
-            format!(
-                "{} became active controller (term {})",
-                self.name, self.term
-            )
-        });
         // Term-start entry: lets the new leader commit prior-term entries
         // (Raft §5.4.2 no-op). We reuse a harmless registration record.
         let noop = MetadataRecord::BrokerRegistered { broker: self.me };
@@ -354,7 +341,6 @@ impl KraftController {
         if self.applied >= self.commit {
             return;
         }
-        let now = ctx.now();
         let batch: Vec<MetadataRecord> = self.log[self.applied..self.commit]
             .iter()
             .map(|(_, r)| r.clone())
@@ -362,7 +348,6 @@ impl KraftController {
         self.applied = self.commit;
         for r in &batch {
             self.state.apply(r);
-            self.decisions.push((now, r.clone()));
         }
         // Only the active controller pushes instructions to brokers.
         if self.is_active() {

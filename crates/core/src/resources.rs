@@ -58,20 +58,19 @@ pub struct MemModel {
     pub controller: u64,
 }
 
-impl Default for MemModel {
-    fn default() -> Self {
-        MemModel {
-            os_base: 4_200 << 20,
-            per_switch: 50 << 20,
-            broker: 420 << 20,
-            producer_base: 110 << 20,
-            producer_heap_factor: 6.0,
-            consumer: 120 << 20,
-            spe: 700 << 20,
-            store: 300 << 20,
-            controller: 180 << 20,
-        }
-    }
+impl MemModel {
+    /// The footprints every run registers with the memory ledger.
+    pub const JVM: MemModel = MemModel {
+        os_base: 4_200 << 20,
+        per_switch: 50 << 20,
+        broker: 420 << 20,
+        producer_base: 110 << 20,
+        producer_heap_factor: 6.0,
+        consumer: 120 << 20,
+        spe: 700 << 20,
+        store: 300 << 20,
+        controller: 180 << 20,
+    };
 }
 
 /// CPU utilization samples derived from host-CPU busy intervals.

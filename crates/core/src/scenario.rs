@@ -372,6 +372,9 @@ impl SpeJobSpec {
 /// scaled down to simulation size).
 pub const DEFAULT_KEY_GROUPS: u32 = 16;
 
+/// The switch every host of a generated star topology links to.
+const STAR_SWITCH: &str = "s1";
+
 /// The intermediate shuffle topic feeding `stage` of `job` (declared
 /// automatically with `key_groups` partitions).
 pub fn shuffle_topic(job: &str, stage: usize) -> String {
@@ -481,7 +484,6 @@ pub struct Scenario {
     duration: SimTime,
     mode: CoordinationMode,
     server: ServerSpec,
-    mem_model: MemModel,
     net_cfg: NetworkConfig,
     default_link: LinkSpec,
     host_links: BTreeMap<String, LinkSpec>,
@@ -506,7 +508,6 @@ pub struct Scenario {
     log_retention_age: Option<SimDuration>,
     log_retention_bytes: Option<usize>,
     watch_tx: Vec<String>,
-    tracing: bool,
     event_limit: u64,
     telemetry: bool,
     telemetry_interval: SimDuration,
@@ -523,7 +524,6 @@ impl Scenario {
             duration: SimTime::from_secs(60),
             mode: CoordinationMode::Zk,
             server: ServerSpec::default(),
-            mem_model: MemModel::default(),
             net_cfg: NetworkConfig::default(),
             default_link: LinkSpec::new(),
             host_links: BTreeMap::new(),
@@ -548,7 +548,6 @@ impl Scenario {
             log_retention_age: None,
             log_retention_bytes: None,
             watch_tx: Vec::new(),
-            tracing: false,
             event_limit: u64::MAX,
             telemetry: true,
             telemetry_interval: SimDuration::from_millis(500),
@@ -595,12 +594,6 @@ impl Scenario {
     /// Models the underlying server (cores, memory, sampling).
     pub fn server(&mut self, spec: ServerSpec) -> &mut Self {
         self.server = spec;
-        self
-    }
-
-    /// Overrides the memory model constants.
-    pub fn mem_model(&mut self, model: MemModel) -> &mut Self {
-        self.mem_model = model;
         self
     }
 
@@ -992,12 +985,6 @@ impl Scenario {
         self
     }
 
-    /// Enables trace collection.
-    pub fn tracing(&mut self, on: bool) -> &mut Self {
-        self.tracing = on;
-        self
-    }
-
     /// Turns the always-on metrics registry's periodic sampling on or off.
     /// On (the default), a sampler process snapshots every registered
     /// metric — consumer lag, per-instance record counts, broker log
@@ -1303,15 +1290,17 @@ impl Scenario {
             })
             .collect();
         let targets = process_targets(&jobs, producers.len(), consumers.len());
-        let topology_hosts = self
-            .explicit_topology
-            .as_ref()
-            .map(|t| t.nodes().map(|(_, n)| n.name.clone()).collect());
         let required_hosts: Vec<String> = self
             .component_hosts()
             .into_iter()
             .chain(self.controller_hosts())
             .collect();
+        let network_nodes = match &self.explicit_topology {
+            Some(t) => t.nodes().map(|(_, n)| n.name.clone()).collect(),
+            None => std::iter::once(STAR_SWITCH.to_string())
+                .chain(required_hosts.iter().cloned())
+                .collect(),
+        };
         let facts = ScenarioFacts {
             name: self.name.clone(),
             duration: self.duration,
@@ -1327,8 +1316,9 @@ impl Scenario {
             jobs,
             faults,
             valid_process_targets: targets.keys().cloned().collect(),
-            topology_hosts,
             required_hosts,
+            network_nodes,
+            watched_nodes: self.watch_tx.clone(),
             checkpoint_interval: self.checkpointing.as_ref().map(|s| s.cfg.interval),
             checkpoint_store_host: match &self.checkpointing {
                 Some(CheckpointSpec {
@@ -1366,7 +1356,7 @@ impl Scenario {
             return t.clone();
         }
         let mut topo = Topology::new();
-        topo.add_switch("s1").expect("fresh topology");
+        topo.add_switch(STAR_SWITCH).expect("fresh topology");
         for host in self
             .component_hosts()
             .iter()
@@ -1381,7 +1371,7 @@ impl Scenario {
                 .get(host)
                 .copied()
                 .unwrap_or(self.default_link);
-            topo.add_link(host, "s1", spec).expect("valid link");
+            topo.add_link(host, STAR_SWITCH, spec).expect("valid link");
         }
         topo
     }
@@ -1413,7 +1403,6 @@ impl Scenario {
         let net = Network::with_config(topo, self.net_cfg).into_handle();
         let mut sim = Sim::new(self.seed);
         sim.set_transport(Box::new(NetTransport(net.clone())));
-        sim.set_tracing(self.tracing);
         sim.set_event_limit(self.event_limit);
 
         // Run-wide telemetry: one shared registry/series/tracer handle every
@@ -1433,7 +1422,7 @@ impl Scenario {
                 );
             }
         }
-        let baseline = self.mem_model.os_base + self.mem_model.per_switch * n_switches as u64;
+        let baseline = MemModel::JVM.os_base + MemModel::JVM.per_switch * n_switches as u64;
         let ledger: LedgerHandle = MemLedger::new(baseline).into_handle();
 
         // Deterministic pid layout: controllers, brokers, store replicas
@@ -1494,7 +1483,7 @@ impl Scenario {
                 place(&net, pid, &ctrl_hosts[0]);
                 ledger
                     .borrow_mut()
-                    .register("zk-controller", self.mem_model.controller);
+                    .register("zk-controller", MemModel::JVM.controller);
             }
             CoordinationMode::Kraft => {
                 let quorum: BTreeMap<BrokerId, ProcessId> = (0..n_ctrl)
@@ -1512,7 +1501,7 @@ impl Scenario {
                     place(&net, pid, host);
                     ledger
                         .borrow_mut()
-                        .register(format!("kraft-{i}"), self.mem_model.controller);
+                        .register(format!("kraft-{i}"), MemModel::JVM.controller);
                 }
             }
         }
@@ -1595,7 +1584,6 @@ impl Scenario {
             checkpointing: self.checkpointing,
             snapshots: snapshot_store(),
             store_groups,
-            mem_model: self.mem_model,
             ledger: ledger.clone(),
             tele: tele.clone(),
             monitor: MonitorCore::new_handle(),
@@ -1620,10 +1608,17 @@ impl Scenario {
             self.server.sample_interval,
             duration,
         )));
-        let tx_pid = if self.watch_tx.is_empty() {
+        // A watched node the network lacks (one the analyzer denied and
+        // `allow_deny_diagnostics` let through) gets no series.
+        let names: Vec<&str> = self
+            .watch_tx
+            .iter()
+            .filter(|n| facts.network_nodes.contains(n))
+            .map(String::as_str)
+            .collect();
+        let tx_pid = if names.is_empty() {
             None
         } else {
-            let names: Vec<&str> = self.watch_tx.iter().map(String::as_str).collect();
             Some(sim.spawn(Box::new(TxSampler::new(
                 net.clone(),
                 &names,
@@ -2121,7 +2116,6 @@ struct Components {
     checkpointing: Option<CheckpointSpec>,
     snapshots: SnapshotStoreHandle,
     store_groups: BTreeMap<String, Vec<ProcessId>>,
-    mem_model: MemModel,
     ledger: LedgerHandle,
     tele: Telemetry,
     monitor: MonitorHandle,
@@ -2173,7 +2167,7 @@ impl Components {
     /// The one spawn path: registers the memory slot, builds the process
     /// from its recipe, starts it at `at` on its host's CPU, and places it.
     fn spawn(&mut self, sim: &mut Sim, key: Key, at: SimTime, incarnation: u64) -> ProcessId {
-        let m = &self.mem_model;
+        let m = &MemModel::JVM;
         let (name, host, mem) = match key {
             Key::Broker(i) => (
                 format!("broker-{i}"),

@@ -380,7 +380,6 @@ impl Process for FaultInjector {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         let now = ctx.now();
         self.apply(now, tag as usize);
-        ctx.trace_with("fault", || format!("{}", self.applied.last().unwrap().1));
     }
 }
 

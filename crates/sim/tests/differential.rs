@@ -7,6 +7,9 @@
 //! order, with its timestamp), the final [`SimStats`], and the clock must
 //! match exactly.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use s2g_sim::{
     downcast, Ctx, Message, Process, ProcessId, QueueDiag, SchedulerKind, Sim, SimDuration,
     SimStats, SimTime, TimerToken,
@@ -38,8 +41,13 @@ impl Mix {
     }
 }
 
+/// Every handler invocation, in order: `(time ns, pid, what happened)`.
+/// Owned by the test and shared by every `Chaos` in one run.
+type Log = Rc<RefCell<Vec<(u64, u32, String)>>>;
+
 struct Chaos {
     id: u32,
+    log: Log,
     peers: u32,
     rng: Mix,
     tokens: Vec<TimerToken>,
@@ -47,9 +55,10 @@ struct Chaos {
 }
 
 impl Chaos {
-    fn new(id: u32, peers: u32, seed: u64) -> Self {
+    fn new(id: u32, peers: u32, seed: u64, log: &Log) -> Self {
         Chaos {
             id,
+            log: Rc::clone(log),
             peers,
             rng: Mix(seed ^ (u64::from(id) << 32) ^ 0xabcd_ef01),
             tokens: Vec::new(),
@@ -70,6 +79,11 @@ impl Chaos {
     fn peer(&mut self) -> ProcessId {
         ProcessId(self.rng.below(u64::from(self.peers)) as u32)
     }
+
+    fn record(&self, ctx: &Ctx<'_>, text: String) {
+        let entry = (ctx.now().as_nanos(), ctx.self_id().0, text);
+        self.log.borrow_mut().push(entry);
+    }
 }
 
 impl Process for Chaos {
@@ -78,7 +92,7 @@ impl Process for Chaos {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.trace_with("chaos", || format!("start {}", self.id));
+        self.record(ctx, format!("start {}", self.id));
         for tag in 0..3 {
             let d = self.delay();
             let t = ctx.set_timer(d, tag);
@@ -90,7 +104,7 @@ impl Process for Chaos {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: Box<dyn Message>) {
         let note = downcast::<Note>(msg).expect("note");
-        ctx.trace_with("chaos", || format!("msg ttl={} from={from}", note.ttl));
+        self.record(ctx, format!("msg ttl={} from={from}", note.ttl));
         if note.ttl > 0 {
             let to = self.peer();
             ctx.send(to, Note { ttl: note.ttl - 1 });
@@ -99,7 +113,7 @@ impl Process for Chaos {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         self.fires += 1;
-        ctx.trace_with("chaos", || format!("timer tag={tag} fire={}", self.fires));
+        self.record(ctx, format!("timer tag={tag} fire={}", self.fires));
         match self.rng.below(10) {
             0..=4 => {
                 let d = self.delay();
@@ -130,7 +144,7 @@ impl Process for Chaos {
     }
 
     fn on_cpu_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        ctx.trace_with("chaos", || format!("cpu tag={tag}"));
+        self.record(ctx, format!("cpu tag={tag}"));
         let d = self.delay();
         self.tokens.push(ctx.set_timer(d, tag));
     }
@@ -140,11 +154,11 @@ impl Process for Chaos {
 /// surface: trace, stats, final clock, and queue diagnostics.
 fn run(kind: SchedulerKind, seed: u64) -> (Vec<(u64, u32, String)>, SimStats, SimTime, QueueDiag) {
     const PROCS: u32 = 12;
+    let log = Log::default();
     let mut sim = Sim::with_scheduler(seed, kind);
-    sim.set_tracing(true);
     sim.set_event_limit(2_000_000);
     for i in 0..PROCS {
-        sim.spawn(Box::new(Chaos::new(i, PROCS, seed)));
+        sim.spawn(Box::new(Chaos::new(i, PROCS, seed, &log)));
     }
     let mut driver = Mix(seed ^ 0x5eed);
     let mut t = SimTime::ZERO;
@@ -156,22 +170,21 @@ fn run(kind: SchedulerKind, seed: u64) -> (Vec<(u64, u32, String)>, SimStats, Si
         if sim.is_alive(victim) && driver.below(3) != 0 {
             sim.kill(victim).expect("alive");
         } else if !sim.is_alive(victim) {
-            sim.respawn(victim, Box::new(Chaos::new(victim.0, PROCS, seed ^ step)));
+            sim.respawn(
+                victim,
+                Box::new(Chaos::new(victim.0, PROCS, seed ^ step, &log)),
+            );
         }
     }
     // Respawn everything and drain the far-future tail.
     for i in 0..PROCS {
         let pid = ProcessId(i);
         if !sim.is_alive(pid) {
-            sim.respawn(pid, Box::new(Chaos::new(i, PROCS, seed ^ 0x77)));
+            sim.respawn(pid, Box::new(Chaos::new(i, PROCS, seed ^ 0x77, &log)));
         }
     }
     sim.run_until(t + SimDuration::from_secs(3));
-    let trace: Vec<(u64, u32, String)> = sim
-        .trace()
-        .iter()
-        .map(|e| (e.at.as_nanos(), e.pid.0, e.text.clone()))
-        .collect();
+    let trace = log.take();
     (trace, sim.stats(), sim.now(), sim.queue_diag())
 }
 

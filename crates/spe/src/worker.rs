@@ -780,11 +780,6 @@ impl SpeWorker {
             .restore_state(base.plan_state, base.records_in, base.records_out);
         let mut tail_buffer = base.buffer;
         let mut tail_offsets = base.offsets;
-        let taken_at = chain
-            .deltas
-            .last()
-            .map(|d| d.taken_at)
-            .unwrap_or(base.taken_at);
         for delta in chain.deltas {
             self.plan
                 .apply_delta(delta.plan_delta, delta.records_in, delta.records_out);
@@ -809,9 +804,6 @@ impl SpeWorker {
         if let Some(c) = self.coordinator.as_mut() {
             c.seed_prev_offsets(tail_offsets);
         }
-        ctx.trace_with("spe", || {
-            format!("{} restored checkpoint from {}", self.name, taken_at)
-        });
     }
 
     fn handle_store_rpc(&mut self, ctx: &mut Ctx<'_>, rpc: StoreRpc) {
@@ -976,13 +968,6 @@ impl SpeWorker {
         if let Some(c) = self.coordinator.as_mut() {
             c.seed_prev_offsets(offsets);
         }
-        ctx.trace_with("spe", || {
-            format!(
-                "{} restored {} old-instance chain(s) for its key groups",
-                self.name,
-                chains.iter().flatten().count()
-            )
-        });
     }
 
     fn emit(&mut self, ctx: &mut Ctx<'_>, events: Vec<Event>) {

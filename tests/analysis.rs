@@ -645,6 +645,47 @@ fn s2g025_restart_without_crash() {
 }
 
 #[test]
+fn s2g026_unknown_watched_node() {
+    let watching = |nodes: &[&str]| {
+        let mut sc = word_count::recovery_scenario(
+            50,
+            SimDuration::from_millis(50),
+            SimTime::from_secs(5),
+            7,
+        );
+        sc.watch_throughput(nodes);
+        sc
+    };
+    assert_eq!(level_of(&watching(&["s1", "h2"]), "S2G026"), None);
+
+    let report = watching(&["h55"]).analyze();
+    let d = report
+        .diagnostics
+        .iter()
+        .find(|d| d.code == "S2G026")
+        .expect("unknown watched node denied");
+    assert_eq!(d.level, Level::Deny);
+    assert!(
+        d.suggestion.contains("did you mean `h5`"),
+        "{}",
+        d.suggestion
+    );
+
+    let err = watching(&["h9-typo"]).run().expect_err("denied");
+    assert!(err.has("S2G026"), "{err}");
+    let mut sc = watching(&["h9-typo", "h2"]);
+    sc.allow_deny_diagnostics();
+    let result = sc.run().expect("an unknown watched node is dropped");
+    let watched: Vec<&str> = result
+        .report
+        .tx_series
+        .iter()
+        .map(|s| s.node.as_str())
+        .collect();
+    assert_eq!(watched, ["h2"]);
+}
+
+#[test]
 fn report_collects_every_violation_not_just_the_first() {
     let mut sc = Scenario::new("t");
     sc.duration(SimTime::from_secs(10))
