@@ -87,15 +87,19 @@ pub struct LogSegment {
     /// One past the highest offset ever assigned in this segment.
     end: u64,
     /// Timestamp base the per-entry deltas are encoded against; pinned to
-    /// the first record pushed so the incrementally built encoding stays
-    /// valid across later pushes and compaction.
+    /// the first record pushed so the cached encoding stays valid across
+    /// later pushes.
     base_ts: SimTime,
     entries: Vec<LogEntry>,
     bytes: usize,
     dirty: bool,
-    /// Entry encodings maintained incrementally on append, so flushing a
-    /// hot segment is a memcpy instead of re-serializing every entry.
+    /// Cached encodings of `entries[..encoded]`, built lazily by the flush
+    /// path: a log with no [`LogBackend`] never encodes anything, and a
+    /// flushed active segment encodes only its new entries on the next
+    /// flush.
     enc: Vec<u8>,
+    /// How many leading entries `enc` covers.
+    encoded: usize,
 }
 
 impl LogSegment {
@@ -108,6 +112,7 @@ impl LogSegment {
             bytes: 0,
             dirty: false,
             enc: Vec::new(),
+            encoded: 0,
         }
     }
 
@@ -115,27 +120,45 @@ impl LogSegment {
         debug_assert!(offset >= self.end, "appends must advance the offset");
         if self.entries.is_empty() {
             self.base_ts = record.timestamp;
-        } else if self.enc.is_empty() {
-            // The encoding was shed after a flush; rebuild before extending.
-            self.rebuild_enc();
         }
         self.bytes += record.encoded_len();
         self.dirty = true;
         self.end = offset + 1;
-        let entry = LogEntry {
+        self.entries.push(LogEntry {
             offset: Offset(offset),
             epoch,
             record,
-        };
-        encode_entry(&mut self.enc, Offset(self.base), self.base_ts, &entry);
-        self.entries.push(entry);
+        });
     }
 
-    fn rebuild_enc(&mut self) {
-        self.enc.clear();
-        for e in &self.entries {
+    /// Drops the cached encoding; called whenever entries other than the
+    /// tail change (truncation, compaction) and to shed cold segments.
+    fn reset_enc(&mut self) {
+        self.enc = Vec::new();
+        self.encoded = 0;
+    }
+
+    /// Extends the cached encoding over the entries appended since the
+    /// last flush, so each entry is encoded once per cache lifetime.
+    fn encode_pending(&mut self) {
+        for e in &self.entries[self.encoded..] {
             encode_entry(&mut self.enc, Offset(self.base), self.base_ts, e);
         }
+        self.encoded = self.entries.len();
+    }
+
+    /// The versioned segment header [`encode`](LogSegment::encode) writes.
+    fn encode_header(&self, out: &mut Vec<u8>) {
+        put_u8(out, SEGMENT_CODEC_VERSION);
+        put_u64(out, self.base);
+        put_u64(out, self.end);
+        put_u64(out, self.base_ts.as_nanos());
+        // A silent `as u32` here would truncate an oversized segment's
+        // count and corrupt every replay of it; fail loudly instead.
+        put_u32(
+            out,
+            u32::try_from(self.entries.len()).expect("segment entry count fits u32"),
+        );
     }
 
     /// First offset of the segment's range (set at roll time, fixed).
@@ -174,27 +197,14 @@ impl LogSegment {
         &self.entries
     }
 
-    /// Serializes the segment for a [`LogBackend`]: a versioned header plus
-    /// the incrementally maintained entry encodings (re-serialized from the
-    /// entries when the buffer was shed after a flush).
+    /// Serializes the segment for a [`LogBackend`]: a versioned header, the
+    /// cached entry encodings, then the entries the cache does not cover.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(29 + self.enc.len());
-        put_u8(&mut out, SEGMENT_CODEC_VERSION);
-        put_u64(&mut out, self.base);
-        put_u64(&mut out, self.end);
-        put_u64(&mut out, self.base_ts.as_nanos());
-        // A silent `as u32` here would truncate an oversized segment's
-        // count and corrupt every replay of it; fail loudly instead.
-        put_u32(
-            &mut out,
-            u32::try_from(self.entries.len()).expect("segment entry count fits u32"),
-        );
-        if self.enc.is_empty() && !self.entries.is_empty() {
-            for e in &self.entries {
-                encode_entry(&mut out, Offset(self.base), self.base_ts, e);
-            }
-        } else {
-            out.extend_from_slice(&self.enc);
+        self.encode_header(&mut out);
+        out.extend_from_slice(&self.enc);
+        for e in &self.entries[self.encoded..] {
+            encode_entry(&mut out, Offset(self.base), self.base_ts, e);
         }
         out
     }
@@ -206,18 +216,17 @@ impl LogSegment {
     pub fn decode(buf: &[u8]) -> Option<LogSegment> {
         let mut cur = Cursor::new(buf);
         match cur.u8()? {
-            SEGMENT_CODEC_VERSION => Self::decode_v3(&mut cur, buf),
+            SEGMENT_CODEC_VERSION => Self::decode_v3(&mut cur),
             SEGMENT_CODEC_V2 => Self::decode_v2(&mut cur),
             _ => None,
         }
     }
 
-    fn decode_v3(cur: &mut Cursor<'_>, buf: &[u8]) -> Option<LogSegment> {
+    fn decode_v3(cur: &mut Cursor<'_>) -> Option<LogSegment> {
         let base = cur.u64()?;
         let end = cur.u64()?;
         let base_ts = SimTime::from_nanos(cur.u64()?);
         let count = cur.u32()? as usize;
-        let body_start = cur.position();
         let mut entries = Vec::with_capacity(count.min(1 << 16));
         let mut bytes = 0;
         for _ in 0..count {
@@ -230,7 +239,6 @@ impl LogSegment {
                 record,
             });
         }
-        let enc = buf[body_start..cur.position()].to_vec();
         Some(LogSegment {
             base,
             end,
@@ -238,7 +246,8 @@ impl LogSegment {
             entries,
             bytes,
             dirty: false,
-            enc,
+            enc: Vec::new(),
+            encoded: 0,
         })
     }
 
@@ -279,7 +288,9 @@ impl LogSegment {
             .first()
             .map(|e| e.record.timestamp)
             .unwrap_or(SimTime::ZERO);
-        let mut seg = LogSegment {
+        // A later flush encodes the entries in the current format, so the
+        // segment persists as v3.
+        Some(LogSegment {
             base,
             end,
             base_ts,
@@ -287,10 +298,8 @@ impl LogSegment {
             bytes,
             dirty: false,
             enc: Vec::new(),
-        };
-        // Re-encode in the current format so a later flush persists v3.
-        seg.rebuild_enc();
-        Some(seg)
+            encoded: 0,
+        })
     }
 }
 
@@ -423,15 +432,6 @@ impl PartitionLog {
         let mut segments = recovered;
         if segments.is_empty() {
             segments.push(LogSegment::new(log_start.value()));
-        }
-        // Sealed segments shed their flush encodings; only the active tail
-        // keeps one (encode() falls back to re-serialization when absent).
-        // `split_last_mut` keeps this total even for a single (or, should
-        // an invariant ever break, zero) recovered segment.
-        if let Some((_, sealed)) = segments.split_last_mut() {
-            for seg in sealed {
-                seg.enc = Vec::new();
-            }
         }
         let retained_bytes = segments.iter().map(LogSegment::bytes).sum();
         let end = segments.last().map(|s| s.end_offset()).unwrap_or_default();
@@ -656,7 +656,7 @@ impl PartitionLog {
             seg.end = to;
             seg.bytes = seg.entries.iter().map(|e| e.record.encoded_len()).sum();
             seg.dirty = true;
-            seg.rebuild_enc();
+            seg.reset_enc();
             keep_until = keep_until.min(i + 1);
             break;
         }
@@ -762,7 +762,7 @@ impl PartitionLog {
                 outcome.removed_records += (before - seg.entries.len()) as u64;
                 seg.bytes = kept;
                 seg.dirty = true;
-                seg.rebuild_enc();
+                seg.reset_enc();
             }
         }
         // Drop sealed segments the pass emptied entirely.
@@ -826,19 +826,22 @@ impl PartitionLog {
     }
 
     /// Encodes every dirty segment and clears the dirty marks, returning
-    /// `(base_offset, encoded_bytes)` pairs — the broker's flush feed.
-    /// Sealed (non-active) segments shed their encoding buffer afterwards
-    /// so cold segments are not held in memory twice.
+    /// `(base_offset, encoded_bytes)` pairs — the broker's flush feed. Each
+    /// flush encodes only the entries appended since the segment's last
+    /// one and copies the rest from the cache. Sealed (non-active)
+    /// segments shed the cache afterwards so cold segments are not held in
+    /// memory twice.
     pub fn take_dirty_segments(&mut self) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
         let n = self.segments.len();
         for (i, seg) in self.segments.iter_mut().enumerate() {
             if seg.dirty && !seg.is_empty() {
+                seg.encode_pending();
                 out.push((seg.base, seg.encode()));
                 seg.dirty = false;
             }
-            if i + 1 < n && !seg.enc.is_empty() {
-                seg.enc = Vec::new();
+            if i + 1 < n && seg.encoded > 0 {
+                seg.reset_enc();
             }
         }
         out
@@ -1443,6 +1446,138 @@ mod tests {
         let seg = LogSegment::decode(&tail[0].1).expect("decodes");
         assert_eq!(seg.len(), 2);
         assert_eq!(seg.entries()[1].record.value_utf8(), "z");
+    }
+
+    /// A segment's encoding built from scratch, with no cache involved.
+    fn uncached_encoding(seg: &LogSegment) -> Vec<u8> {
+        let mut out = Vec::new();
+        seg.encode_header(&mut out);
+        for e in &seg.entries {
+            encode_entry(&mut out, Offset(seg.base), seg.base_ts, e);
+        }
+        out
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum FlushPolicy {
+        EveryOp,
+        AtEnd,
+        Random,
+        Never,
+    }
+
+    /// Replays one seeded mix of appends, truncations, compactions and
+    /// retention passes, flushing per `policy` into a backend-like map of
+    /// the latest bytes per segment base. The op sequence depends only on
+    /// `seed`, so every policy ends with the same log.
+    fn replay_with_flushes(
+        seed: u64,
+        policy: FlushPolicy,
+    ) -> (PartitionLog, BTreeMap<u64, Vec<u8>>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut ops = StdRng::seed_from_u64(seed);
+        let mut coin = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let mut log = PartitionLog::with_segment_max(4);
+        let mut store: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut epoch = 0;
+        for step in 0..400u64 {
+            let mut dropped = Vec::new();
+            match ops.gen_range(0..20u32) {
+                0 => {
+                    let end = log.log_end().value();
+                    log.truncate_to(Offset(end.saturating_sub(ops.gen_range(0..6u64))));
+                    epoch += 1;
+                }
+                1 => {
+                    log.advance_high_watermark(log.log_end());
+                    dropped = log.compact().dropped_segment_bases;
+                }
+                2 => {
+                    log.advance_high_watermark(log.log_end());
+                    let cap = ops.gen_range(0..400usize);
+                    dropped = log
+                        .apply_retention(SimTime::ZERO, None, Some(cap))
+                        .dropped_segment_bases;
+                }
+                _ => {
+                    let ts = SimTime::from_millis(step);
+                    let record = if ops.gen_bool(0.5) {
+                        let k = ops.gen_range(0..5u32);
+                        Record::new(format!("k{k}"), format!("v{step}"), ts)
+                    } else {
+                        Record::keyless(format!("x{step}"), ts)
+                    };
+                    log.append(LeaderEpoch(epoch), record);
+                }
+            }
+            for base in dropped {
+                store.remove(&base);
+            }
+            let flush = match policy {
+                FlushPolicy::EveryOp => true,
+                FlushPolicy::Random => coin.gen_bool(0.3),
+                FlushPolicy::AtEnd | FlushPolicy::Never => false,
+            };
+            if flush {
+                store.extend(log.take_dirty_segments());
+            }
+        }
+        if policy != FlushPolicy::Never {
+            store.extend(log.take_dirty_segments());
+        }
+        (log, store)
+    }
+
+    #[test]
+    fn flushed_bytes_do_not_depend_on_flush_timing() {
+        for seed in 0..8 {
+            let mut live_bytes = Vec::new();
+            for policy in [
+                FlushPolicy::EveryOp,
+                FlushPolicy::AtEnd,
+                FlushPolicy::Random,
+            ] {
+                let (log, store) = replay_with_flushes(seed, policy);
+                let mut live = Vec::new();
+                for seg in log.segments().iter().filter(|s| !s.is_empty()) {
+                    let bytes = &store[&seg.base];
+                    assert_eq!(
+                        *bytes,
+                        uncached_encoding(seg),
+                        "seed {seed} {policy:?}: segment {} drifted",
+                        seg.base
+                    );
+                    let back = LogSegment::decode(bytes).expect("flushed bytes decode");
+                    assert_eq!(back.end_offset(), seg.end_offset());
+                    let pairs = |s: &LogSegment| -> Vec<(Offset, LeaderEpoch, Record)> {
+                        s.entries()
+                            .iter()
+                            .map(|e| (e.offset, e.epoch, e.record.clone()))
+                            .collect()
+                    };
+                    assert_eq!(pairs(&back), pairs(seg), "seed {seed} {policy:?}");
+                    live.push((seg.base, bytes.clone()));
+                }
+                live_bytes.push(live);
+            }
+            assert!(
+                live_bytes.windows(2).all(|w| w[0] == w[1]),
+                "seed {seed}: flush timing changed the persisted bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn unflushed_log_holds_no_encodings() {
+        for seed in 0..8 {
+            let (log, store) = replay_with_flushes(seed, FlushPolicy::Never);
+            assert!(store.is_empty());
+            assert!(!log.is_empty(), "seed {seed}: the mix left records");
+            for seg in log.segments() {
+                assert_eq!((seg.enc.len(), seg.encoded), (0, 0), "seed {seed}");
+            }
+        }
     }
 
     #[test]

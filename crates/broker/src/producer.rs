@@ -92,6 +92,20 @@ pub struct ProduceOutcome {
     pub delivered: bool,
 }
 
+/// A produced batch whose records reached their final outcome, handed to
+/// the embedding process by [`ProducerClient::drain_completed`].
+#[derive(Debug)]
+pub struct CompletedBatch {
+    /// The partition the batch was produced to.
+    pub tp: TopicPartition,
+    /// The batch's records, in production order.
+    pub batch: RecordBatch,
+    /// When the outcome was decided (ack received or delivery timeout).
+    pub completed: SimTime,
+    /// True if the broker acknowledged the batch.
+    pub delivered: bool,
+}
+
 /// Producer counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProducerStats {
@@ -109,6 +123,10 @@ pub struct ProducerStats {
 
 #[derive(Debug)]
 struct AccumBatch {
+    /// The topic's dense id: the linger timer tag's offset.
+    topic_id: u64,
+    /// Round-robin counter picking the partition of keyless sub-batches.
+    rr: u32,
     records: Vec<Record>,
     bytes: usize,
     linger_timer: Option<TimerToken>,
@@ -179,15 +197,15 @@ pub struct ProducerClient {
     next_corr: u64,
     corr_step: u64,
     accum: BTreeMap<String, AccumBatch>,
-    topic_ids: BTreeMap<String, u64>,
-    rr: BTreeMap<String, u32>,
     ready: BTreeMap<TopicPartition, VecDeque<ReadyBatch>>,
     inflight: BTreeMap<TopicPartition, Inflight>,
     corr_to_tp: HashMap<u64, TopicPartition>,
     buffer_used: usize,
     stats: ProducerStats,
-    outcomes: Vec<ProduceOutcome>,
-    sent_index: Vec<(String, u64, SimTime)>,
+    /// Batches completed since the embedder last drained them. The client
+    /// keeps no per-record log of its own: the embedder decides what, if
+    /// anything, a completion leaves behind.
+    completed: Vec<CompletedBatch>,
     mem: Option<(LedgerHandle, MemSlot)>,
     /// The open transaction stamped on produced batches, when transactional.
     txn: Option<u64>,
@@ -234,15 +252,12 @@ impl ProducerClient {
             next_corr: corr_parity,
             corr_step: 2,
             accum: BTreeMap::new(),
-            topic_ids: BTreeMap::new(),
-            rr: BTreeMap::new(),
             ready: BTreeMap::new(),
             inflight: BTreeMap::new(),
             corr_to_tp: HashMap::new(),
             buffer_used: 0,
             stats: ProducerStats::default(),
-            outcomes: Vec::new(),
-            sent_index: Vec::new(),
+            completed: Vec::new(),
             mem: None,
             txn: None,
             txn_sent: BTreeMap::new(),
@@ -443,15 +458,17 @@ impl ProducerClient {
         self.stats
     }
 
-    /// Per-record outcomes (ack / delivery-timeout), in completion order.
-    pub fn outcomes(&self) -> &[ProduceOutcome] {
-        &self.outcomes
+    /// Hands over the batches completed (acked or timed out) since the last
+    /// drain, in completion order. The embedding process drains after each
+    /// handler that reaches the client; what it drops is gone for good.
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, CompletedBatch> {
+        self.completed.drain(..)
     }
 
-    /// Every record accepted into the buffer, as `(topic, seq, created)` in
-    /// production order — the message axis of delivery matrices (Fig. 6b).
-    pub fn sent_index(&self) -> &[(String, u64, SimTime)] {
-        &self.sent_index
+    /// Completed batches not yet drained — zero after every handler of a
+    /// well-behaved embedder, so the client holds no per-record history.
+    pub fn pending_completions(&self) -> usize {
+        self.completed.len()
     }
 
     /// Bytes currently queued in the buffer pool.
@@ -516,15 +533,16 @@ impl ProducerClient {
         self.bootstrap = self.bootstrap_candidates[(cur + 1) % self.bootstrap_candidates.len()];
     }
 
-    /// Queues one record for `topic`. Returns `false` (and counts a buffer
-    /// rejection) when the buffer pool is exhausted.
+    /// Queues one record for `topic`, returning its producer sequence
+    /// number. Returns `None` (and counts a buffer rejection) when the
+    /// buffer pool is exhausted.
     pub fn send(
         &mut self,
         ctx: &mut Ctx<'_>,
         topic: &str,
         key: Option<Vec<u8>>,
         value: Vec<u8>,
-    ) -> bool {
+    ) -> Option<u64> {
         let record = match key {
             Some(k) => Record::new(k, value, ctx.now()),
             None => Record::keyless(value, ctx.now()),
@@ -534,10 +552,9 @@ impl ProducerClient {
         let bytes = record.encoded_len();
         if self.buffer_used + bytes > self.cfg.buffer_memory {
             self.stats.buffer_rejected += 1;
-            return false;
+            return None;
         }
-        self.sent_index
-            .push((topic.to_string(), record.producer_seq, ctx.now()));
+        let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.sent += 1;
         if let Some(t) = self.txn {
@@ -548,28 +565,30 @@ impl ProducerClient {
         if !self.cfg.cpu_per_record.is_zero() {
             ctx.exec(self.cfg.cpu_per_record, PRODUCER_TAGS + off::NOOP_CPU);
         }
-        let n_topics = self.topic_ids.len() as u64;
-        let topic_id = *self.topic_ids.entry(topic.to_string()).or_insert(n_topics);
-        let entry = self
-            .accum
-            .entry(topic.to_string())
-            .or_insert_with(|| AccumBatch {
+        // Look the topic up first: only its first send allocates a key.
+        if !self.accum.contains_key(topic) {
+            let batch = AccumBatch {
+                topic_id: self.accum.len() as u64,
+                rr: 0,
                 records: Vec::new(),
                 bytes: 0,
                 linger_timer: None,
-            });
+            };
+            self.accum.insert(topic.to_string(), batch);
+        }
+        let entry = self.accum.get_mut(topic).expect("inserted above");
         entry.records.push(record);
         entry.bytes += bytes;
         if entry.linger_timer.is_none() {
-            let t = ctx.set_timer(self.cfg.linger, PRODUCER_TAGS + off::LINGER_BASE + topic_id);
-            entry.linger_timer = Some(t);
+            let tag = PRODUCER_TAGS + off::LINGER_BASE + entry.topic_id;
+            entry.linger_timer = Some(ctx.set_timer(self.cfg.linger, tag));
         }
         if entry.records.len() >= self.cfg.batch_max_records
             || entry.bytes >= self.cfg.batch_max_bytes
         {
-            self.flush_topic(ctx, &topic.to_string());
+            self.flush_topic(ctx, topic);
         }
-        true
+        Some(seq)
     }
 
     /// Flushes every accumulating batch immediately.
@@ -580,7 +599,7 @@ impl ProducerClient {
         }
     }
 
-    fn flush_topic(&mut self, ctx: &mut Ctx<'_>, topic: &String) {
+    fn flush_topic(&mut self, ctx: &mut Ctx<'_>, topic: &str) {
         let Some(batch) = self.accum.get_mut(topic) else {
             return;
         };
@@ -598,32 +617,29 @@ impl ProducerClient {
         // partition whose downstream owner holds its state. Keyless
         // records keep the original behavior: the whole sub-batch goes to
         // the next round-robin partition. Partition 0 optimistically when
-        // metadata has not arrived yet.
+        // metadata has not arrived yet. Records split by partition number;
+        // each sub-batch builds its `TopicPartition` once.
         let parts = self.metadata.partitions_of(topic);
         let n_parts = parts.len() as u32;
-        let mut split: BTreeMap<TopicPartition, (Vec<Record>, usize)> = BTreeMap::new();
-        let mut rr_tp: Option<TopicPartition> = None;
+        let mut split: BTreeMap<u32, (Vec<Record>, usize)> = BTreeMap::new();
+        let mut rr_part: Option<u32> = None;
         for r in records {
             let rbytes = r.encoded_len();
-            let tp = match (&r.key, n_parts) {
-                (_, 0) => TopicPartition::new(topic.clone(), 0),
-                (Some(k), _) => {
-                    TopicPartition::new(topic.clone(), s2g_proto::partition_for_key(k, n_parts))
-                }
-                (None, _) => rr_tp
-                    .get_or_insert_with(|| {
-                        let rr = self.rr.entry(topic.clone()).or_insert(0);
-                        let tp = parts[*rr as usize % parts.len()].clone();
-                        *rr += 1;
-                        tp
-                    })
-                    .clone(),
+            let part = match (&r.key, n_parts) {
+                (_, 0) => 0,
+                (Some(k), _) => s2g_proto::partition_for_key(k, n_parts),
+                (None, _) => *rr_part.get_or_insert_with(|| {
+                    let part = parts[batch.rr as usize % parts.len()].partition;
+                    batch.rr += 1;
+                    part
+                }),
             };
-            let slot = split.entry(tp).or_default();
+            let slot = split.entry(part).or_default();
             slot.0.push(r);
             slot.1 += rbytes;
         }
-        for (tp, (records, bytes)) in split {
+        for (part, (records, bytes)) in split {
+            let tp = TopicPartition::new(topic, part);
             let created = records
                 .first()
                 .map(|r| r.timestamp)
@@ -747,15 +763,12 @@ impl ProducerClient {
                 batch.batch.len() as u64,
             );
         }
-        for r in batch.batch.iter() {
-            self.outcomes.push(ProduceOutcome {
-                seq: r.producer_seq,
-                topic: batch.tp.topic.clone(),
-                created: r.timestamp,
-                completed: now,
-                delivered,
-            });
-        }
+        self.completed.push(CompletedBatch {
+            tp: batch.tp,
+            batch: batch.batch,
+            completed: now,
+            delivered,
+        });
     }
 
     fn retry_or_fail(&mut self, ctx: &mut Ctx<'_>, mut batch: ReadyBatch) {
@@ -861,14 +874,14 @@ impl ProducerClient {
         } else if (off::LINGER_BASE..off::REQ_TIMEOUT_BASE).contains(&o) {
             let topic_id = o - off::LINGER_BASE;
             let topic = self
-                .topic_ids
-                .iter()
-                .find(|(_, id)| **id == topic_id)
-                .map(|(t, _)| t.clone());
-            if let Some(t) = topic {
-                if let Some(b) = self.accum.get_mut(&t) {
+                .accum
+                .iter_mut()
+                .find(|(_, b)| b.topic_id == topic_id)
+                .map(|(t, b)| {
                     b.linger_timer = None;
-                }
+                    t.clone()
+                });
+            if let Some(t) = topic {
                 self.flush_topic(ctx, &t);
             }
         } else if o >= off::REQ_TIMEOUT_BASE {
@@ -894,12 +907,17 @@ impl std::fmt::Debug for ProducerClient {
 }
 
 /// A standalone producer stub: a [`ProducerClient`] driven by a
-/// [`DataSource`], with background CPU churn for the resource model.
+/// [`DataSource`], with background CPU churn for the resource model. The
+/// stub owns the per-record logs a run report carries.
 pub struct ProducerProcess {
     client: ProducerClient,
     source: Box<dyn DataSource>,
     source_done: bool,
     name: String,
+    /// Per-record outcomes (ack / delivery timeout), in completion order.
+    outcomes: Vec<ProduceOutcome>,
+    /// Every record the client accepted, as `(topic, seq, created)`.
+    sent_index: Vec<(String, u64, SimTime)>,
 }
 
 const SOURCE_STEP: u64 = 0;
@@ -922,12 +940,49 @@ impl ProducerProcess {
             source,
             source_done: false,
             name,
+            outcomes: Vec::new(),
+            sent_index: Vec::new(),
         }
     }
 
-    /// The embedded client (stats, outcomes).
+    /// The embedded client (stats, buffer fill).
     pub fn client(&self) -> &ProducerClient {
         &self.client
+    }
+
+    /// Per-record outcomes (ack / delivery timeout), in completion order.
+    pub fn outcomes(&self) -> &[ProduceOutcome] {
+        &self.outcomes
+    }
+
+    /// Every record accepted into the buffer, as `(topic, seq, created)` in
+    /// production order — the message axis of delivery matrices (Fig. 6b).
+    pub fn sent_index(&self) -> &[(String, u64, SimTime)] {
+        &self.sent_index
+    }
+
+    /// Moves both per-record logs out (outcomes, then the send index),
+    /// leaving them empty — a run report takes them instead of copying.
+    pub fn take_logs(&mut self) -> (Vec<ProduceOutcome>, Vec<(String, u64, SimTime)>) {
+        (
+            std::mem::take(&mut self.outcomes),
+            std::mem::take(&mut self.sent_index),
+        )
+    }
+
+    /// Expands the client's completed batches into per-record outcomes.
+    fn record_completions(&mut self) {
+        for done in self.client.drain_completed() {
+            for r in done.batch.iter() {
+                self.outcomes.push(ProduceOutcome {
+                    seq: r.producer_seq,
+                    topic: done.tp.topic.clone(),
+                    created: r.timestamp,
+                    completed: done.completed,
+                    delivered: done.delivered,
+                });
+            }
+        }
     }
 
     /// The data source, downcast to its concrete type.
@@ -952,7 +1007,9 @@ impl ProducerProcess {
                 value,
                 next_after,
             } => {
-                self.client.send(ctx, &topic, key, value);
+                if let Some(seq) = self.client.send(ctx, &topic, key, value) {
+                    self.sent_index.push((topic, seq, now));
+                }
                 ctx.set_timer(next_after, SOURCE_STEP);
             }
             SourceAction::Wait(d) => {
@@ -980,10 +1037,12 @@ impl Process for ProducerProcess {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcessId, msg: Box<dyn Message>) {
         self.client.handle_message(ctx, msg);
+        self.record_completions();
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         if self.client.handle_timer(ctx, tag) {
+            self.record_completions();
             return;
         }
         match tag {

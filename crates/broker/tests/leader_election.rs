@@ -238,7 +238,6 @@ fn run_schedule(seed: u64) -> (Vec<Cycle>, Vec<u64>, Vec<u64>, Vec<String>) {
         .process_ref::<ProducerProcess>(cluster.producer_pid)
         .unwrap();
     let acked: Vec<u64> = producer
-        .client()
         .outcomes()
         .iter()
         .filter(|o| o.delivered)

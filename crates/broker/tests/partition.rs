@@ -192,8 +192,7 @@ fn build(mode: CoordinationMode, acks: AckMode, seed: u64) -> Cluster {
 
 fn acked_seqs(sim: &Sim, pid: ProcessId, topic: &str) -> Vec<u64> {
     let p = sim.process_ref::<ProducerProcess>(pid).unwrap();
-    p.client()
-        .outcomes()
+    p.outcomes()
         .iter()
         .filter(|o| o.delivered && o.topic == topic)
         .map(|o| o.seq)
@@ -254,7 +253,6 @@ fn zk_mode_silently_loses_acked_records() {
         .process_ref::<ProducerProcess>(cluster.producer_pid)
         .unwrap();
     for o in p
-        .client()
         .outcomes()
         .iter()
         .filter(|o| o.delivered && o.topic == "topic-a")

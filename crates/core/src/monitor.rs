@@ -8,6 +8,7 @@
 //! the message delivery matrix (Fig. 6b) are derived.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use s2g_broker::DataSink;
@@ -216,7 +217,9 @@ pub struct DeliveryMatrix {
 
 impl DeliveryMatrix {
     /// Builds the matrix for `producer` from the monitor and the producer's
-    /// send log (`(topic, seq, produced)` per message).
+    /// send log (`(topic, seq, produced)` per message). A delivery marks
+    /// the first column with its `(topic, seq)`; one index built up front
+    /// keeps this linear in deliveries plus messages.
     pub fn build(
         core: &MonitorCore,
         producer: ProducerId,
@@ -224,6 +227,10 @@ impl DeliveryMatrix {
         consumers: &[u32],
     ) -> Self {
         let mut received = vec![vec![false; messages.len()]; consumers.len()];
+        let mut column: HashMap<(&str, u64), usize> = HashMap::with_capacity(messages.len());
+        for (col, (t, s, _)) in messages.iter().enumerate() {
+            column.entry((t.as_str(), *s)).or_insert(col);
+        }
         for d in &core.deliveries {
             if d.producer != producer {
                 continue;
@@ -231,10 +238,7 @@ impl DeliveryMatrix {
             let Some(row) = consumers.iter().position(|c| *c == d.consumer) else {
                 continue;
             };
-            if let Some(col) = messages
-                .iter()
-                .position(|(t, s, _)| *s == d.seq && *t == *d.topic)
-            {
+            if let Some(&col) = column.get(&(&*d.topic, d.seq)) {
                 received[row][col] = true;
             }
         }
@@ -393,6 +397,66 @@ mod tests {
         assert!(core.deliveries[0].latency_clamped());
         assert_eq!(core.deliveries[0].latency(), SimDuration::ZERO);
         assert!(!core.deliveries[1].latency_clamped());
+    }
+
+    #[test]
+    fn delivery_matrix_matches_a_linear_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // The scan `build` replaced: each delivery marks the first column
+        // with its `(topic, seq)`.
+        fn scan(
+            core: &MonitorCore,
+            producer: ProducerId,
+            messages: &[(String, u64, SimTime)],
+            consumers: &[u32],
+        ) -> Vec<Vec<bool>> {
+            let mut received = vec![vec![false; messages.len()]; consumers.len()];
+            for d in &core.deliveries {
+                let row = consumers.iter().position(|c| *c == d.consumer);
+                let col = messages
+                    .iter()
+                    .position(|(t, s, _)| *s == d.seq && *t == *d.topic);
+                if let (true, Some(row), Some(col)) = (d.producer == producer, row, col) {
+                    received[row][col] = true;
+                }
+            }
+            received
+        }
+        let topics: Vec<Rc<str>> = vec![Rc::from("ta"), Rc::from("tb")];
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Few distinct seqs, so `(topic, seq)` pairs repeat.
+            let messages: Vec<(String, u64, SimTime)> = (0..rng.gen_range(0..40u64))
+                .map(|i| {
+                    let t = &topics[rng.gen_range(0..2usize)];
+                    (
+                        t.to_string(),
+                        rng.gen_range(0..12u64),
+                        SimTime::from_millis(i),
+                    )
+                })
+                .collect();
+            let mut core = MonitorCore::default();
+            for i in 0..rng.gen_range(0..200u64) {
+                core.deliveries.push(DeliveryRecord {
+                    consumer: rng.gen_range(0..4u32),
+                    topic: topics[rng.gen_range(0..2usize)].clone(),
+                    producer: ProducerId(rng.gen_range(0..2u32)),
+                    seq: rng.gen_range(0..14u64),
+                    produced: SimTime::ZERO,
+                    delivered: SimTime::from_millis(i),
+                });
+            }
+            let consumers = [0, 2, 3];
+            let m = DeliveryMatrix::build(&core, ProducerId(1), messages.clone(), &consumers);
+            assert_eq!(
+                m.received,
+                scan(&core, ProducerId(1), &messages, &consumers),
+                "seed {seed}"
+            );
+            assert_eq!(m.messages, messages);
+        }
     }
 
     #[test]

@@ -1675,15 +1675,18 @@ impl Scenario {
         let producers_report: Vec<ProducerReport> = (0..table.producers.len())
             .map(|i| {
                 let key = Key::Producer(i);
+                let recovery = table.entries[&key].client_recovery();
                 let p = table
-                    .process::<ProducerProcess>(&sim, key)
+                    .process_mut::<ProducerProcess>(&mut sim, key)
                     .expect("producer process (live or corpse)");
+                // The report takes the stub's logs instead of copying them.
+                let (outcomes, sent_index) = p.take_logs();
                 ProducerReport {
                     id: ProducerId(i as u32),
                     stats: p.client().stats(),
-                    outcomes: p.client().outcomes().to_vec(),
-                    sent_index: p.client().sent_index().to_vec(),
-                    recovery: table.entries[&key].client_recovery(),
+                    outcomes,
+                    sent_index,
+                    recovery,
                 }
             })
             .collect();
@@ -2303,6 +2306,16 @@ impl Components {
             let corpse = c.corpse.as_deref()?;
             (corpse as &dyn std::any::Any).downcast_ref::<T>()
         })
+    }
+
+    /// [`process`](Self::process), mutably.
+    fn process_mut<'a, T: Process>(&'a mut self, sim: &'a mut Sim, key: Key) -> Option<&'a mut T> {
+        let c = self.entries.get_mut(&key)?;
+        if let Some(p) = sim.process_mut::<T>(c.pid) {
+            return Some(p);
+        }
+        let corpse = c.corpse.as_deref_mut()?;
+        (corpse as &mut dyn std::any::Any).downcast_mut::<T>()
     }
 
     /// Builds one component from its kind's recipe: incarnation 0 is the

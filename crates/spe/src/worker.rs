@@ -698,9 +698,10 @@ impl SpeWorker {
                 _ => 0,
             }
         } else {
-            self.producer
-                .as_ref()
-                .map_or(u64::MAX, |p| p.outcomes().len() as u64)
+            self.producer.as_ref().map_or(u64::MAX, |p| {
+                let stats = p.stats();
+                stats.acked + stats.failed
+            })
         };
         let txn = coord.pending_commit_txn().unwrap_or(0);
         let coord = self.coordinator.as_mut().expect("checked above");
@@ -1098,6 +1099,8 @@ impl Process for SpeWorker {
         };
         if let Some(p) = self.producer.as_mut() {
             p.handle_message(ctx, msg);
+            // The sink's counters are all a run reads of its completions.
+            p.drain_completed();
         }
         // Producer acks may have satisfied an exactly-once output barrier.
         self.pump_commit(ctx);
@@ -1109,6 +1112,7 @@ impl Process for SpeWorker {
         }
         if let Some(p) = self.producer.as_mut() {
             if p.handle_timer(ctx, tag) {
+                p.drain_completed();
                 self.pump_commit(ctx);
                 return;
             }

@@ -10,11 +10,13 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use stream2gym::broker::{CollectingSink, ConsumerProcess, ProducerConfig, TopicSpec};
+use stream2gym::broker::{
+    CollectingSink, ConsumerProcess, ProducerConfig, ProducerProcess, TopicSpec,
+};
 use stream2gym::core::{MonitoredSink, RunResult, Scenario, SourceSpec, SpeJobSpec, SpeSinkSpec};
 use stream2gym::proto::{Compression, Offset, ProducerId, Record, RecordBatch};
 use stream2gym::sim::{SimDuration, SimTime};
-use stream2gym::spe::{CheckpointCfg, Event, SpeConfig};
+use stream2gym::spe::{CheckpointCfg, Event, SpeConfig, SpeWorker};
 
 const CASES: usize = 200;
 
@@ -260,4 +262,69 @@ fn data_plane_performs_no_shared_batch_copies() {
     );
     // The monitor saw every record without cloning payloads per subscriber.
     assert_eq!(result.monitor.borrow().for_topic("t").count(), 500);
+}
+
+/// Per-record logs live once, where a run reads them: the producer stub's
+/// outcomes and send index move into the report (the stub keeps no copy),
+/// and an SPE job's sink producer keeps only counters.
+#[test]
+fn per_record_logs_are_kept_once() {
+    let records = 400u64;
+    let mut sc = Scenario::new("logs-once");
+    sc.seed(3)
+        .duration(SimTime::from_secs(6))
+        .topic(TopicSpec::new("in").partitions(2))
+        .topic(TopicSpec::new("out"));
+    sc.broker("h0");
+    sc.producer(
+        "hp",
+        SourceSpec::Rate {
+            topic: "in".into(),
+            count: records,
+            interval: SimDuration::from_millis(5),
+            payload: 32,
+        },
+        ProducerConfig::default(),
+    );
+    sc.spe_job(
+        "hs",
+        SpeJobSpec::new(
+            "relay",
+            vec!["in".into()],
+            || stream2gym::spe::Plan::new().map("id", |e| e),
+            SpeSinkSpec::Topic("out".into()),
+            SpeConfig::default(),
+        ),
+    );
+    sc.consumer("hc", Default::default(), &["out"]);
+    let result = sc.run().expect("valid scenario");
+
+    let p = &result.report.producers[0];
+    assert_eq!(p.stats.sent, records);
+    assert_eq!(p.outcomes.len() as u64, p.stats.acked + p.stats.failed);
+    assert_eq!(p.sent_index.len() as u64, p.stats.sent);
+    let stub = result
+        .sim
+        .process_ref::<ProducerProcess>(result.producer_pids[0])
+        .expect("producer stub");
+    assert!(
+        stub.outcomes().is_empty() && stub.sent_index().is_empty(),
+        "the report moved the stub's logs instead of copying them"
+    );
+
+    let worker = result
+        .sim
+        .process_ref::<SpeWorker>(result.spe_pids["relay"])
+        .expect("spe worker");
+    let sink = worker.producer().expect("topic sink producer");
+    assert!(sink.stats().acked > 0, "the sink produced");
+    assert_eq!(
+        sink.pending_completions(),
+        0,
+        "the sink producer holds no per-record log"
+    );
+    assert_eq!(
+        result.monitor.borrow().for_topic("out").count() as u64,
+        sink.stats().acked
+    );
 }
